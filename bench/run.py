@@ -5,8 +5,9 @@
 Run from the repository root. Each invocation of a workload runs in its own
 fresh ``python3`` process with ``src`` on ``PYTHONPATH``, one process at a
 time, and its verdict is checked against a known answer. A round is the
-workload's fixed list of invocations; rounds repeat until ``--seconds``
-have passed, and timings are medians over rounds.
+workload's list of invocations, built from a seed of its own that is drawn
+from the workload seed; rounds repeat until ``--seconds`` have passed, and
+timings are medians over rounds.
 
 With ``--trace 0`` the last line of stdout is a JSON object holding the
 end-to-end metrics; with ``--trace 1`` it holds the per-module metrics of
@@ -147,7 +148,8 @@ def end_to_end(rounds: list, setup: list) -> dict:
             statistics.median(c.wall_s for c in every), "s"),
         "verdict_s.max": _metric(
             statistics.median(max(c.wall_s for c in r) for r in rounds), "s"),
-        "peak_rss_mb": _metric(max(c.rss_mb for c in every), "MB"),
+        "peak_rss_mb": _metric(
+            statistics.median(max(c.rss_mb for c in r) for r in rounds), "MB"),
         "setup_s": _metric(statistics.median(setup), "s"),
         "decided_within_10s": _metric(sum(decided) / len(decided), "share"),
     }
@@ -160,13 +162,15 @@ def measure(name: str, seed: int, seconds: float, trace: bool):
     WORK.mkdir(exist_ok=True)
     run_dir = Path(tempfile.mkdtemp(prefix=f"{name}.", dir=WORK))
     try:
-        invocations = workloads.build(name, seed, run_dir / "inputs")
         tally = Tally()
         run_child(SETUP, deadline)  # writes the bytecode; not measured
         start = time.perf_counter()
         setup = []  # spread over the run, so drift affects it like the rest
         plain, traced = [], []  # rounds of children; traced: (children, dumps)
         while True:
+            # A traced run repeats round 0, so that its counts repeat.
+            invocations = workloads.build(name, seed, run_dir / "inputs",
+                                          0 if trace else len(plain))
             if not trace:
                 setup.append(run_child(SETUP, deadline).wall_s)
             plain.append(run_round(invocations, tally, deadline)[0])

@@ -182,7 +182,7 @@ def test_child_past_the_deadline_is_killed():
 
 
 def test_crash_is_a_wrong_verdict_even_with_the_right_exit_code():
-    inv = workloads.build("probe-confluence", 1, run.WORK)[0]
+    inv = workloads.build("probe-and-oracle", 1, run.WORK)[0]
     out = "\n".join(inv.lines) + "\n"
     assert inv.judge(0, out, "") is None
     assert inv.judge(0, out, "Traceback (most recent call last):\n") is not None
@@ -198,3 +198,16 @@ def test_benchmark_json_names_the_metrics_the_code_reports():
     layers = {k: unit for k, (unit, _, _) in tracer.PER_LAYER.items()}
     layers["trace.overhead_ratio"] = "ratio"
     assert {m["name"]: m["unit"] for m in spec["per_layer"]} == layers
+
+
+def test_rounds_have_their_own_reproducible_seeds():
+    assert workloads.round_seed(42, 0) == 42
+    seeds = [workloads.round_seed(42, i) for i in range(1, 6)]
+    assert seeds == [workloads.round_seed(42, i) for i in range(1, 6)]
+    assert len(set(seeds)) == 5 and 42 not in seeds
+    first = workloads.build("probe-and-oracle", 42, run.WORK, 0)
+    later = workloads.build("probe-and-oracle", 42, run.WORK, 1)
+    assert first[0].args[-1] == "42"
+    assert first[0].args != later[0].args
+    # the model-check invocations of a round use distinct seeds
+    assert len({inv.args[-1] for inv in first[1:]}) == len(first) - 1
