@@ -548,50 +548,6 @@ def hcompose(d1: Diagram, d2: Diagram) -> Diagram:
 # the exchange relation and its canonical form
 
 
-def _swap_adjacent(l1: Layer, l2: Layer) -> Optional[tuple[Layer, Layer]]:
-    """Swap two adjacent layers if their strand intervals are disjoint.
-
-    ``l1`` sits above ``l2``; the returned pair is (new upper, new lower)
-    after sliding ``l2`` above ``l1``. ``None`` if the generators interact.
-    """
-    a, (s1, t1) = l1.offset, l1.gen_widths()
-    c, (s2, t2) = l2.offset, l2.gen_widths()
-    pre = l1.boundary()[0]
-    if c + s2 <= a:
-        new_upper_off, new_lower_off = c, a - s2 + t2
-    elif c >= a + t1:
-        new_upper_off, new_lower_off = c - t1 + s1, a
-    else:
-        return None
-    up = Layer(
-        slice_cells(pre, 0, new_upper_off),
-        l2.gen,
-        slice_cells(pre, new_upper_off + s2),
-    )
-    mid = up.boundary()[1]
-    low = Layer(
-        slice_cells(mid, 0, new_lower_off),
-        l1.gen,
-        slice_cells(mid, new_lower_off + s1),
-    )
-    return up, low
-
-
-def _bubble_to_top(layers: list[Layer], j: int) -> Optional[list[Layer]]:
-    """Move layer ``j`` to position 0 by adjacent swaps, or ``None``."""
-    work = list(layers)
-    for i in range(j, 0, -1):
-        swapped = _swap_adjacent(work[i - 1], work[i])
-        if swapped is None:
-            return None
-        work[i - 1], work[i] = swapped
-    return work
-
-
-def _layer_key(layer: Layer):
-    return (layer.offset, gen_sort_key(layer.gen))
-
-
 # Layers carry whisker paths, which makes swapping and hashing them costly.
 # The exchange search therefore runs on compact words of (generator id,
 # offset) pairs; a word plus the top boundary determines the layer sequence.
@@ -658,10 +614,6 @@ def expand_word(source: OneCellPath, word: tuple) -> tuple[Layer, ...]:
         layers.append(layer)
         top = layer.boundary()[1]
     return tuple(layers)
-
-
-def _key_seq(layers):
-    return tuple(_layer_key(l) for l in layers)
 
 
 def _canonical_layers(layers: tuple[Layer, ...], memo: dict) -> tuple[Layer, ...]:

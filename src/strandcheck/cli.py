@@ -15,8 +15,9 @@ import tempfile
 from pathlib import Path
 
 from .descent import (
-    axiom_equations,
+    bundle_file_name,
     bundled_scripts,
+    session_for,
     signature_for,
     verify_theorem,
 )
@@ -29,8 +30,7 @@ from .parser import (
     script_file_for,
 )
 from .render import render
-from .rewrite import CheckerSession, check_script, confluence_probe, \
-    normalize_fib
+from .rewrite import check_script, confluence_probe, normalize_fib
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -65,14 +65,6 @@ def _verdict_line(report) -> str:
     where = "" if report.failed_step is None \
         else f" at step {report.failed_step}"
     return f"{report.name}: Failed{where} ({report.reason})"
-
-
-def _session_for_signature(sig) -> CheckerSession:
-    axioms = {}
-    if sig.extension is not None:
-        axioms = {eq.name: (eq.lhs, eq.rhs)
-                  for eq in axiom_equations(sig.extension, sig.base)}
-    return CheckerSession(sig, axioms=axioms)
 
 
 def _dependency_order(scripts: list) -> list:
@@ -121,7 +113,7 @@ def cmd_check(args) -> int:
             groups.append((sf.signature, list(sf.scripts)))
     reports = []
     for sig, scripts in groups:
-        session = _session_for_signature(sig)
+        session = session_for(sig)
         for script in _dependency_order(scripts):
             reports.append(check_script(session, script))
     failed = [r for r in reports if not r.ok]
@@ -179,7 +171,7 @@ def cmd_export_bundle(args) -> int:
     outdir = Path(args.outdir)
     written = []
     for kind in sorted(groups):
-        path = outdir / f"{kind.lower()}_bundle{BUNDLE_SUFFIX}"
+        path = outdir / bundle_file_name(kind)
         _atomic_write(path, format_script_file(script_file_for(groups[kind])))
         written.append(str(path))
     _emit(args, {"command": "export-bundle", "files": written},

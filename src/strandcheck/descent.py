@@ -5,11 +5,34 @@ data and equivariant actions over a fixed base arrow coincide: the standard
 kernel-pair base presentation, the three one-generator signature extensions
 with their axiom equations, the three translations between them, and the
 bundled proof scripts whose joint verification is the theorem.
+
+The bundled scripts ship as data: one ``.strand`` file per extension under
+``strandcheck/bundle/``, named by ``bundle_file_name``. ``bundled_scripts``
+parses them on first use. ``_build_bundle`` is the authoring tool that
+derives the scripts by region search; after changing it, regenerate the
+files (the regeneration test in ``tests/test_bundle.py`` fails until they
+match)::
+
+    from pathlib import Path
+    from strandcheck.descent import (
+        _build_bundle, builtin_descent_base, bundle_file_name)
+    from strandcheck.parser import format_script_file, script_file_for
+
+    groups = {}
+    for s in _build_bundle(builtin_descent_base()):
+        groups.setdefault(s.signature.extension, []).append(s)
+    for kind, scripts in groups.items():
+        Path("src/strandcheck/bundle", bundle_file_name(kind)).write_text(
+            format_script_file(script_file_for(scripts)), encoding="utf-8",
+            newline="\n")
+
+and keep ``BUNDLE_ORDER`` equal to the order ``_build_bundle`` derives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from importlib.resources import files
 from typing import Optional
 
 from .base import (
@@ -43,6 +66,7 @@ from .calculus import (
     whisker,
 )
 from .errors import InvalidBinding
+from .parser import parse_script_file
 from .rewrite import (
     CheckReport,
     CheckerSession,
@@ -300,10 +324,12 @@ def axiom_equations(kind: str, base: Optional[BasePresentation] = None) -> list[
     raise InvalidBinding(f"unknown axiom system {kind!r}")
 
 
-def _session_for(kind: str, base: BasePresentation,
-                 disabled_axioms=()) -> CheckerSession:
-    sig = signature_for(kind, base)
-    axioms = {eq.name: (eq.lhs, eq.rhs) for eq in axiom_equations(kind, base)}
+def session_for(sig: Signature, disabled_axioms=()) -> CheckerSession:
+    """A checking session for ``sig`` holding its extension's axioms."""
+    axioms = {}
+    if sig.extension is not None:
+        axioms = {eq.name: (eq.lhs, eq.rhs)
+                  for eq in axiom_equations(sig.extension, sig.base)}
     return CheckerSession(sig, axioms=axioms,
                           disabled_axioms=set(disabled_axioms))
 
@@ -396,7 +422,8 @@ def _descent_datum_chi_block(base: BasePresentation) -> Diagram:
 def _build_bundle(base: BasePresentation):
     """Construct and check the thirteen bundled scripts in dependency order."""
     n = _Names(base)
-    sessions = {k: _session_for(k, base) for k in ("TA", "DD", "AC")}
+    sessions = {k: session_for(signature_for(k, base))
+                for k in ("TA", "DD", "AC")}
     alpha = single(sessions["TA"].signature.descent_generator())
     phi = single(sessions["DD"].signature.descent_generator())
     beta = single(sessions["AC"].signature.descent_generator())
@@ -531,14 +558,35 @@ def _build_bundle(base: BasePresentation):
     return scripts
 
 
+# The order in which the scripts are checked and reported: the order
+# ``_build_bundle`` derives them in, which interleaves the three files.
+BUNDLE_ORDER = (
+    "phi_iso_left", "phi_iso_right", "F_DD1", "F_DD2", "G_AC1", "G_AC2",
+    "eta_trans", "mu_trans", "H_TA1", "H_TA2",
+    "roundtrip_HGF", "roundtrip_GFH", "roundtrip_FHG",
+)
+
 _BUNDLE: Optional[list] = None
 
 
+def bundle_file_name(kind: str) -> str:
+    """The file holding the bundled scripts of one extension."""
+    return f"{kind.lower()}_bundle.strand"
+
+
 def bundled_scripts() -> list[ProofScript]:
-    """The thirteen proof scripts whose joint verification is the theorem."""
+    """The thirteen proof scripts whose joint verification is the theorem.
+
+    Parsed from the package data on first call, in ``BUNDLE_ORDER``.
+    """
     global _BUNDLE
     if _BUNDLE is None:
-        _BUNDLE = _build_bundle(builtin_descent_base())
+        data = files("strandcheck") / "bundle"
+        by_name = {}
+        for kind in ("TA", "DD", "AC"):
+            text = (data / bundle_file_name(kind)).read_text(encoding="utf-8")
+            by_name.update((s.name, s) for s in parse_script_file(text).scripts)
+        _BUNDLE = [by_name[name] for name in BUNDLE_ORDER]
     return list(_BUNDLE)
 
 
@@ -550,20 +598,19 @@ def verify_theorem(disabled_axioms=(), unmark_square: Optional[str] = None,
     for negative controls; ``scripts`` substitutes a modified bundle.
     """
     todo = list(scripts) if scripts is not None else bundled_scripts()
-    base = todo[0].signature.base
     sessions: dict = {}
     per: dict = {}
     verdict, reason = "Verified", None
     for script in todo:
-        kind = script.signature.extension
-        session = sessions.get(kind)
+        sig = script.signature
+        session = sessions.get(sig.extension)
         if session is None:
-            session = _session_for(kind, base, disabled_axioms)
+            session = session_for(sig, disabled_axioms)
             if unmark_square is not None:
-                stripped = replace(base, squares=[
-                    s for s in base.squares if s.label != unmark_square])
-                session.signature = replace(session.signature, base=stripped)
-            sessions[kind] = session
+                stripped = replace(sig.base, squares=[
+                    s for s in sig.base.squares if s.label != unmark_square])
+                session.signature = replace(sig, base=stripped)
+            sessions[sig.extension] = session
         report = check_script(session, script)
         per[script.name] = report
         if report.verdict != "Verified" and verdict == "Verified":

@@ -387,14 +387,11 @@ def normalize_fib(d: Diagram) -> Diagram:
     return Diagram(d.source, d.target, single(Coherence(pt)).layers)
 
 
-def decide_fib_equal(d1: Diagram, d2: Diagram, debug: bool = False) -> bool:
+def decide_fib_equal(d1: Diagram, d2: Diagram) -> bool:
     """Two-thinness decision: parallel coherence-only diagrams are equal."""
     _require_pure_chi(d1)
     _require_pure_chi(d2)
-    same = d1.source == d2.source and d1.target == d2.target
-    if debug and same:
-        assert normalize_fib(d1) == normalize_fib(d2)
-    return same
+    return d1.source == d2.source and d1.target == d2.target
 
 
 # ---------------------------------------------------------------------------
@@ -914,12 +911,6 @@ def apply_step(session: CheckerSession, d: Diagram, step: ProofStep) -> Diagram:
     )
 
 
-def _require_pure_chi_region(block: Diagram) -> None:
-    for layer in block.layers:
-        if not isinstance(layer.gen, Coherence):
-            raise RegionNotPureChi(f"region contains {layer.gen!r}")
-
-
 def check_script(session: CheckerSession, script: ProofScript) -> CheckReport:
     """Validate a proof script; on success record it in the session."""
     stats = {"steps": len(script.steps), "rules": {}}
@@ -954,6 +945,44 @@ def check_script(session: CheckerSession, script: ProofScript) -> CheckReport:
 # derivation builder (used to author the bundled scripts)
 
 
+def _scan_regions(d: Diagram, height: Optional[int] = None,
+                  width: Optional[int] = None, coherence_only: bool = False):
+    """(representative, region, block) for every region that extracts cleanly.
+
+    Scans every presentation of ``d``'s isotopy class in class order; in
+    each, layer ranges top to bottom (shorter first), then strands left to
+    right (narrower first). ``height`` and ``width`` fix the region's layer
+    and strand counts; None leaves them free. With ``coherence_only`` only
+    ranges of coherence layers are scanned.
+    """
+    for rep in _isotopy_class(exchange_canonical(d)):
+        n_l = len(rep.layers)
+        top = rep.source
+        for lo in range(n_l + 1):
+            if lo:
+                top = rep.layers[lo - 1].boundary()[1]
+            for h in _sizes(height, n_l - lo, 1):
+                hi = lo + h
+                if coherence_only and not all(
+                        isinstance(l.gen, Coherence) for l in rep.layers[lo:hi]):
+                    break
+                for strand in range(len(top) + 1):
+                    for w in _sizes(width, len(top) - strand, 0):
+                        region = Region(lo, hi, strand, w)
+                        try:
+                            block, _ = extract_block(rep, region)
+                        except PatternNotFound:
+                            continue
+                        yield rep, region, block
+
+
+def _sizes(fixed: Optional[int], room: int, least: int):
+    """``fixed`` if it fits in ``room``; when None, every size least..room."""
+    if fixed is None:
+        return range(least, room + 1)
+    return (fixed,) if fixed <= room else ()
+
+
 class DerivationBuilder:
     """Constructs a proof script by searching step positions automatically.
 
@@ -976,34 +1005,24 @@ class DerivationBuilder:
     def _find_and_apply(self, just: Justification, skip: int = 0):
         pattern, replacement = self.session.pattern_pair(just)
         pattern = exchange_canonical(pattern)
-        c = exchange_canonical(self.current)
-        n = len(pattern.layers)
-        width = len(pattern.source)
         seen_results = []
-        for rep in _isotopy_class(c):
-            for lo in range(len(rep.layers) - n + 1):
-                top = _chain_boundary(rep.layers[:lo], rep.source)
-                for strand in range(len(top) - width + 1):
-                    region = Region(lo, lo + n, strand, width)
-                    try:
-                        block, _ = extract_block(rep, region)
-                    except PatternNotFound:
-                        continue
-                    if not isotopic(block, pattern):
-                        continue
-                    result = exchange_canonical(splice_block(rep, region, replacement))
-                    if result in seen_results:
-                        continue
-                    seen_results.append(result)
-                    if len(seen_results) <= skip:
-                        continue
-                    step = ProofStep(just, region, result)
-                    self.current = apply_step(self.session, self.current, step)
-                    self.steps.append(step)
-                    return self
+        for rep, region, block in _scan_regions(
+                self.current, len(pattern.layers), len(pattern.source)):
+            if not isotopic(block, pattern):
+                continue
+            result = exchange_canonical(splice_block(rep, region, replacement))
+            if result in seen_results:
+                continue
+            seen_results.append(result)
+            if len(seen_results) <= skip:
+                continue
+            step = ProofStep(just, region, result)
+            self.current = apply_step(self.session, self.current, step)
+            self.steps.append(step)
+            return self
         raise PatternNotFound(
             f"{self.name}: no occurrence of the pattern for {just!r} "
-            f"(skip={skip}) in\n{c!r}"
+            f"(skip={skip}) in\n{exchange_canonical(self.current)!r}"
         )
 
     def rule(self, name: str, direction: str = "fwd", skip: int = 0, **binding):
@@ -1046,23 +1065,14 @@ class DerivationBuilder:
             )
         result = exchange_canonical(spliced)
         repl_c = exchange_canonical(replacement)
-        n = len(replacement.layers)
-        width = len(replacement.source)
-        for rep in _isotopy_class(result):
-            for lo in range(len(rep.layers) - n + 1):
-                top = _chain_boundary(rep.layers[:lo], rep.source)
-                for strand in range(len(top) - width + 1):
-                    cand = Region(lo, lo + n, strand, width)
-                    try:
-                        blk, _ = extract_block(rep, cand)
-                    except PatternNotFound:
-                        continue
-                    if not isotopic(blk, repl_c):
-                        continue
-                    step = ProofStep(FibCoherence(cand), region, result)
-                    self.current = apply_step(self.session, self.current, step)
-                    self.steps.append(step)
-                    return self
+        for _, cand, blk in _scan_regions(result, len(replacement.layers),
+                                          len(replacement.source)):
+            if not isotopic(blk, repl_c):
+                continue
+            step = ProofStep(FibCoherence(cand), region, result)
+            self.current = apply_step(self.session, self.current, step)
+            self.steps.append(step)
+            return self
         raise PatternNotFound(f"{self.name}: replacement block lost in the result")
 
     def coherence_swap(self, replacement: Diagram, skip: int = 0):
@@ -1073,34 +1083,19 @@ class DerivationBuilder:
         diagram; ``skip`` passes over earlier distinct outcomes.
         """
         c = exchange_canonical(self.current)
-        width = len(replacement.source)
         seen = []
-        for rep in _isotopy_class(c):
-            n_l = len(rep.layers)
-            for lo in range(n_l):
-                if not isinstance(rep.layers[lo].gen, Coherence):
-                    continue
-                top_w = len(_chain_boundary(rep.layers[:lo], rep.source))
-                for hi in range(lo + 1, n_l + 1):
-                    if not isinstance(rep.layers[hi - 1].gen, Coherence):
-                        break
-                    for strand in range(top_w - width + 1):
-                        region = Region(lo, hi, strand, width)
-                        try:
-                            block, _ = extract_block(rep, region)
-                        except PatternNotFound:
-                            continue
-                        if (block.source != replacement.source
-                                or block.target != replacement.target):
-                            continue
-                        result = exchange_canonical(
-                            splice_block(rep, region, replacement))
-                        if result == c or result in seen:
-                            continue
-                        seen.append(result)
-                        if len(seen) <= skip:
-                            continue
-                        return self.coherence(region, replacement)
+        for rep, region, block in _scan_regions(
+                c, width=len(replacement.source), coherence_only=True):
+            if (block.source != replacement.source
+                    or block.target != replacement.target):
+                continue
+            result = exchange_canonical(splice_block(rep, region, replacement))
+            if result == c or result in seen:
+                continue
+            seen.append(result)
+            if len(seen) <= skip:
+                continue
+            return self.coherence(region, replacement)
         raise PatternNotFound(
             f"{self.name}: no replaceable coherence block matches the "
             f"replacement boundary (skip={skip})"
@@ -1115,34 +1110,20 @@ class DerivationBuilder:
         """
         while True:
             best = None
-            for rep in _isotopy_class(exchange_canonical(self.current)):
-                n_l = len(rep.layers)
-                for lo in range(n_l):
-                    if not isinstance(rep.layers[lo].gen, Coherence):
-                        continue
-                    top_w = len(_chain_boundary(rep.layers[:lo], rep.source))
-                    for hi in range(lo + 1, n_l + 1):
-                        if not all(isinstance(rep.layers[i].gen, Coherence)
-                                   for i in range(lo, hi)):
-                            break
-                        for strand in range(top_w + 1):
-                            for width in range(top_w - strand + 1):
-                                region = Region(lo, hi, strand, width)
-                                try:
-                                    block, _ = extract_block(rep, region)
-                                    nf = normalize_fib(block)
-                                except (PatternNotFound, NotFibFragment):
-                                    continue
-                                gain = (hi - lo) - len(nf.layers)
-                                if gain <= 0:
-                                    continue
-                                if best is None or gain > best[0]:
-                                    best = (gain, region, nf)
-                if best is not None:
-                    break
+            for rep, region, block in _scan_regions(self.current,
+                                                    coherence_only=True):
+                if best is not None and rep is not best[3]:
+                    break  # the best block of the first representative
+                try:
+                    nf = normalize_fib(block)
+                except NotFibFragment:
+                    continue
+                gain = len(block.layers) - len(nf.layers)
+                if gain > 0 and (best is None or gain > best[0]):
+                    best = (gain, region, nf, rep)
             if best is None:
                 return self
-            _, region, nf = best
+            _, region, nf, _ = best
             self.coherence(region, nf)
 
     def coherence_collapse(self, region: Region):

@@ -51,6 +51,8 @@ from strandcheck.rewrite import (
     random_chi_diagram,
 )
 
+from exchange_oracle import swap_adjacent
+
 
 def _report(criterion: str, ok: bool) -> None:
     print(f"\nACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'}")
@@ -145,8 +147,6 @@ def test_criterion_5_adjunction_and_bc_laws(names):
 
 
 def test_criterion_6_canonicalization():
-    from strandcheck.calculus import _swap_adjacent
-
     sig = signature_for(None)
     rng = random.Random(6)
     ok = True
@@ -169,7 +169,7 @@ def test_criterion_6_canonicalization():
                 frontier = []
                 break
             for i in range(len(cur) - 1):
-                sw = _swap_adjacent(cur[i], cur[i + 1])
+                sw = swap_adjacent(cur[i], cur[i + 1])
                 if sw is None:
                     continue
                 nxt = cur[:i] + sw + cur[i + 2:]

@@ -44,6 +44,8 @@ from strandcheck.calculus import (
 )
 from strandcheck.errors import BoundaryMismatch, NonComposable
 
+from exchange_oracle import swap_adjacent
+
 
 @pytest.fixture
 def base():
@@ -230,14 +232,12 @@ def _random_chi_stack(base, rng, n_layers):
 
 def _bfs_isotopy_class(d):
     """All layer orderings reachable by adjacent exchanges (oracle)."""
-    from strandcheck.calculus import _swap_adjacent
-
     seen = {d.layers}
     frontier = [d.layers]
     while frontier:
         cur = frontier.pop()
         for i in range(len(cur) - 1):
-            sw = _swap_adjacent(cur[i], cur[i + 1])
+            sw = swap_adjacent(cur[i], cur[i + 1])
             if sw is None:
                 continue
             nxt = cur[:i] + sw + cur[i + 2 :]

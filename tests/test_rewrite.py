@@ -315,7 +315,7 @@ def test_decide_fib_equal_by_boundary(sig, base):
     for _ in range(300)    :
         d1 = random_chi_diagram(sig, rng, 4, 4)
         d2 = random_chi_diagram(sig, rng, 4, 4)
-        eq = decide_fib_equal(d1, d2, debug=True)
+        eq = decide_fib_equal(d1, d2)
         norm_eq = (d1.source == d2.source
                    and normalize_fib(d1) == normalize_fib(d2))
         assert eq == norm_eq
