@@ -616,6 +616,91 @@ def expand_word(source: OneCellPath, word: tuple) -> tuple[Layer, ...]:
     return tuple(layers)
 
 
+def word_generator(gid: int) -> GenTwoCell:
+    """The generator interned as ``gid`` in a compact word."""
+    return _GEN_LIST[gid]
+
+
+def word_widths(word: tuple, top_width: int) -> list[int]:
+    """The boundary width above each layer of a word, then below the last."""
+    widths = [top_width]
+    for gid, _ in word:
+        s, t = _GEN_W[gid]
+        widths.append(widths[-1] + t - s)
+    return widths
+
+
+def region_misfit(word: tuple, top_width: int, lo: int, hi: int,
+                  strand: int, width: int) -> Optional[str]:
+    """Why layers ``lo..hi`` of a word leave the strand interval, or None.
+
+    The interval starts at ``strand`` and spans ``width`` strands of the
+    boundary above layer ``lo``; it follows the block down, growing or
+    shrinking with each generator inside it. The region fits when the
+    layer range and the interval are in bounds and every generator in the
+    range acts inside the interval. Only offsets and widths are read, so
+    a presentation need not be expanded to layers to be ruled out.
+    """
+    if not (0 <= lo <= hi <= len(word)):
+        return f"layer range {lo}..{hi} out of bounds"
+    if strand < 0 or strand + width > word_widths(word[:lo], top_width)[-1]:
+        return "strand interval out of bounds"
+    cur_hi = strand + width
+    for i in range(lo, hi):
+        gid, off = word[i]
+        s, t = _GEN_W[gid]
+        if off < strand or off + s > cur_hi:
+            return f"layer {i} acts outside the block's strand interval"
+        cur_hi += t - s
+    return None
+
+
+class ExchangeClass:
+    """One exchange class, walked once from a start word.
+
+    ``words`` lists every presentation as a compact word, in breadth-first
+    discovery order from the start word. ``presentation(i)`` expands the
+    ``i``-th word to a diagram on first use and keeps it, so callers can
+    rule words out on their offsets and expand only the ones they need.
+    """
+
+    def __init__(self, source: OneCellPath, target: OneCellPath, words: list):
+        self.source = source
+        self.target = target
+        self.words = words
+        self._expanded: dict = {}
+
+    def presentation(self, i: int) -> Diagram:
+        d = self._expanded.get(i)
+        if d is None:
+            d = self._expanded[i] = Diagram(
+                self.source, self.target, expand_word(self.source, self.words[i]))
+        return d
+
+    def __iter__(self):
+        for i in range(len(self.words)):
+            yield self.presentation(i)
+
+
+# The class table: (source, start word) -> ExchangeClass. The start word
+# fixes the discovery order, so a class walked from another word is another
+# entry. The oldest entry is dropped once the table is full.
+_CLASS_TABLE: dict = {}
+_CLASS_TABLE_SIZE = 64
+
+
+def exchange_class(source: OneCellPath, target: OneCellPath,
+                   word: tuple) -> ExchangeClass:
+    """The exchange class of ``word`` under ``source``, walked on a table miss."""
+    key = (source, word)
+    hit = _CLASS_TABLE.get(key)
+    if hit is None:
+        if len(_CLASS_TABLE) >= _CLASS_TABLE_SIZE:
+            del _CLASS_TABLE[next(iter(_CLASS_TABLE))]
+        hit = _CLASS_TABLE[key] = ExchangeClass(source, target, class_words(word))
+    return hit
+
+
 def _canonical_layers(layers: tuple[Layer, ...], memo: dict) -> tuple[Layer, ...]:
     """Lexicographically minimal exchange-equivalent layer sequence.
 
@@ -626,7 +711,9 @@ def _canonical_layers(layers: tuple[Layer, ...], memo: dict) -> tuple[Layer, ...
     of layers movable to the top depends on the chosen presentation. The
     exchange moves are symmetric, so breadth-first closure enumerates the
     whole class and its key-sequence minimum is presentation-independent.
-    Every visited presentation is memoized to the shared result.
+    The class comes from the class table, so it is walked once per start
+    word however many callers need it, and every visited presentation is
+    memoized to the shared result.
     """
     if not layers:
         return ()
@@ -635,7 +722,7 @@ def _canonical_layers(layers: tuple[Layer, ...], memo: dict) -> tuple[Layer, ...
     cached = memo.get((source, word))
     if cached is not None:
         return cached
-    words = class_words(word)
+    words = exchange_class(source, layers[-1].boundary()[1], word).words
     genkeys = {}
     for g, _ in word:
         if g not in genkeys:

@@ -190,21 +190,17 @@ def validate_instance(inst: FinInstance) -> None:
             raise RelationViolated(f"square {sq.label} is not a genuine pullback")
 
 
-def make_instance(
-    A, B, f: Union[Mapping, Callable], seed: Optional[int] = None
-) -> FinInstance:
+def make_instance(A, B, f: Union[Mapping, Callable]) -> FinInstance:
     """The canonical finite-set instance of the built-in kernel-pair base.
 
     ``A`` and ``B`` are finite iterables of labels and ``f`` a total
     function (mapping or callable) from B to A. Q and R are built as the
     canonical pullbacks: Q the pairs of B-elements identified by f, R
     the pairs (q1, q2) of Q-elements with f2(q2) = f1(q1), with
-    pi(q1, q2) = (f1(q2), f2(q1)). ``seed`` is accepted for interface
-    uniformity; the construction is deterministic.
+    pi(q1, q2) = (f1(q2), f2(q1)).
     """
     from .descent import builtin_descent_base
 
-    del seed
     base = builtin_descent_base()
     elems_a = tuple(A)
     elems_b = tuple(B)
@@ -506,7 +502,7 @@ def _needs_env(d: Diagram) -> bool:
     if any(isinstance(t, ObjTok) for t in d.source.tokens + d.target.tokens):
         return True
     for layer in d.layers:
-        if isinstance(layer.gen, (DescentCell, ObjTok)):
+        if isinstance(layer.gen, DescentCell):
             return True
         if any(isinstance(t, ObjTok) for t in layer.left.tokens):
             return True
@@ -539,12 +535,7 @@ def oracle_equal(
     needs_env = _needs_env(d1) or _needs_env(d2)
     mismatches = []
     for idx in range(inst_count):
-        n_a = rng.randint(1, max_size)
-        n_b = rng.randint(0, max_size)
-        elems_a = tuple(f"a{i}" for i in range(n_a))
-        elems_b = tuple(f"b{i}" for i in range(n_b))
-        fmap = {b: rng.choice(elems_a) for b in elems_b}
-        inst = make_instance(elems_a, elems_b, fmap)
+        inst = random_instance(rng, max_size)
         env = free_algebra_env(rng, inst, max_fiber) if needs_env else None
         if d1.source.dom.is_terminal:
             input_family = None

@@ -40,14 +40,17 @@ from .calculus import (
     Star,
     Unit,
     cells,
+    compact_word,
     concat_cells,
     exchange_canonical,
+    exchange_class,
     fiber,
     from_layers,
     generator_boundary,
     identity_cells,
     identity_diagram,
     isotopic,
+    region_misfit,
     shriek_lift,
     single,
     slice_cells,
@@ -56,6 +59,8 @@ from .calculus import (
     validate_diagram,
     vcompose,
     whisker,
+    word_generator,
+    word_widths,
 )
 from .errors import (
     BoundaryChanged,
@@ -66,6 +71,7 @@ from .errors import (
     RegionNotPureChi,
     ResultMismatch,
     SideConditionFailed,
+    StrandcheckError,
     UnprovenDependency,
 )
 
@@ -433,43 +439,10 @@ def _oriented_successors_one(d: Diagram):
                               layers[:i] + (merged,) + layers[i + 2 :])
 
 
-_CLASS_CACHE: dict = {}
-
-
-class _LazyClass:
-    """Exchange class of a diagram, expanded to layers only on demand."""
-
-    def __init__(self, d: Diagram):
-        from .calculus import class_words, compact_word
-
-        self.source = d.source
-        self.target = d.target
-        self.words = class_words(compact_word(d.layers))
-        self.diagrams: list[Diagram] = []
-
-    def __iter__(self):
-        from .calculus import expand_word
-
-        for i in range(len(self.words)):
-            if i >= len(self.diagrams):
-                self.diagrams.append(Diagram(
-                    self.source, self.target,
-                    expand_word(self.source, self.words[i])))
-            yield self.diagrams[i]
-
-
 def _isotopy_class(d: Diagram):
-    """All exchange-reachable layer presentations, in discovery order."""
-    from .calculus import compact_word
-
-    key = (d.source, compact_word(d.layers))
-    hit = _CLASS_CACHE.get(key)
-    if hit is None:
-        if len(_CLASS_CACHE) > 64:
-            _CLASS_CACHE.clear()
-        hit = _LazyClass(d)
-        _CLASS_CACHE[key] = hit
-    return hit
+    """The exchange class of ``d`` from the shared class table, in
+    breadth-first order from ``d``'s own presentation."""
+    return exchange_class(d.source, d.target, compact_word(d.layers))
 
 
 def oriented_successors(d: Diagram) -> set[Diagram]:
@@ -760,23 +733,18 @@ def extract_block(d: Diagram, region: Region) -> tuple[Diagram, list[OneCellPath
     PatternNotFound when any generator in the range sticks out of the
     block's strand interval.
     """
-    if not (0 <= region.lo <= region.hi <= len(d.layers)):
-        raise PatternNotFound(f"layer range {region.lo}..{region.hi} out of bounds")
+    misfit = region_misfit(compact_word(d.layers), len(d.source), region.lo,
+                           region.hi, region.strand, region.width)
+    if misfit is not None:
+        raise PatternNotFound(misfit)
     top = _chain_boundary(d.layers[: region.lo], d.source)
-    if region.strand < 0 or region.strand + region.width > len(top):
-        raise PatternNotFound("strand interval out of bounds")
     cur_lo = region.strand
     cur_hi = region.strand + region.width
     block_layers = []
     outer_lefts = []
-    for i in range(region.lo, region.hi):
-        layer = d.layers[i]
+    for layer in d.layers[region.lo : region.hi]:
         s_w, t_w = layer.gen_widths()
         off = layer.offset
-        if off < cur_lo or off + s_w > cur_hi:
-            raise PatternNotFound(
-                f"layer {i} acts outside the block's strand interval"
-            )
         pre = layer.boundary()[0]
         outer_lefts.append(slice_cells(pre, 0, cur_lo))
         block_layers.append(Layer(
@@ -852,14 +820,19 @@ def _blocks_at(d: Diagram, region: Region):
     """(representative, block) pairs where the region extracts cleanly.
 
     Positions refer to a contiguous sub-block in some presentation of the
-    diagram's isotopy class; matching quantifies over representatives.
+    diagram's isotopy class; matching quantifies over representatives, in
+    class order from the canonical form. The position is resolved on the
+    compact words of the class, which the class table walks once per start
+    word, and only the presentations where the region fits are expanded.
     """
-    for rep in _isotopy_class(exchange_canonical(d)):
-        try:
+    cls = _isotopy_class(exchange_canonical(d))
+    top_width = len(d.source)
+    for i, word in enumerate(cls.words):
+        if region_misfit(word, top_width, region.lo, region.hi,
+                         region.strand, region.width) is None:
+            rep = cls.presentation(i)
             block, _ = extract_block(rep, region)
-        except PatternNotFound:
-            continue
-        yield rep, block
+            yield rep, block
 
 
 def apply_step(session: CheckerSession, d: Diagram, step: ProofStep) -> Diagram:
@@ -920,7 +893,7 @@ def check_script(session: CheckerSession, script: ProofScript) -> CheckReport:
         if (script.claim_lhs.source != script.claim_rhs.source
                 or script.claim_lhs.target != script.claim_rhs.target):
             raise BoundaryChanged("claim sides are not parallel")
-    except Exception as exc:
+    except StrandcheckError as exc:
         return CheckReport(script.name, "Failed", failed_step=-1,
                            reason=f"claim validation: {exc}", stats=stats)
     cur = script.claim_lhs
@@ -928,7 +901,7 @@ def check_script(session: CheckerSession, script: ProofScript) -> CheckReport:
         try:
             validate_diagram(session.signature, step.result)
             cur = apply_step(session, cur, step)
-        except Exception as exc:
+        except StrandcheckError as exc:
             return CheckReport(script.name, "Failed", failed_step=i,
                                reason=str(exc), stats=stats)
         label = type(step.justification).__name__
@@ -953,26 +926,29 @@ def _scan_regions(d: Diagram, height: Optional[int] = None,
     each, layer ranges top to bottom (shorter first), then strands left to
     right (narrower first). ``height`` and ``width`` fix the region's layer
     and strand counts; None leaves them free. With ``coherence_only`` only
-    ranges of coherence layers are scanned.
+    ranges of coherence layers are scanned. Regions are tried on compact
+    words, so a presentation is expanded only once a region fits in it.
     """
-    for rep in _isotopy_class(exchange_canonical(d)):
-        n_l = len(rep.layers)
-        top = rep.source
+    cls = _isotopy_class(exchange_canonical(d))
+    top_width = len(d.source)
+    for i, word in enumerate(cls.words):
+        n_l = len(word)
+        widths = word_widths(word, top_width)
         for lo in range(n_l + 1):
-            if lo:
-                top = rep.layers[lo - 1].boundary()[1]
             for h in _sizes(height, n_l - lo, 1):
                 hi = lo + h
                 if coherence_only and not all(
-                        isinstance(l.gen, Coherence) for l in rep.layers[lo:hi]):
+                        isinstance(word_generator(g), Coherence)
+                        for g, _ in word[lo:hi]):
                     break
-                for strand in range(len(top) + 1):
-                    for w in _sizes(width, len(top) - strand, 0):
-                        region = Region(lo, hi, strand, w)
-                        try:
-                            block, _ = extract_block(rep, region)
-                        except PatternNotFound:
+                for strand in range(widths[lo] + 1):
+                    for w in _sizes(width, widths[lo] - strand, 0):
+                        if region_misfit(word, top_width, lo, hi, strand,
+                                         w) is not None:
                             continue
+                        rep = cls.presentation(i)
+                        region = Region(lo, hi, strand, w)
+                        block, _ = extract_block(rep, region)
                         yield rep, region, block
 
 

@@ -36,3 +36,22 @@ def swap_adjacent(l1: Layer, l2: Layer) -> Optional[tuple[Layer, Layer]]:
         slice_cells(mid, new_lower_off + s1),
     )
     return up, low
+
+
+def region_fits(d, lo: int, hi: int, strand: int, width: int) -> bool:
+    """Whether layers ``lo..hi`` of ``d`` stay inside a strand interval.
+
+    Read from full layers: the interval starts ``strand`` strands from the
+    left of the boundary above layer ``lo`` and spans ``width`` strands, so
+    the strands to its right keep their count while the block's own
+    generators change its width. A layer fits when its left whisker covers
+    the strands left of the block and its right whisker those right of it.
+    """
+    if not 0 <= lo <= hi <= len(d.layers):
+        return False
+    top = d.layers[lo].boundary()[0] if lo < len(d.layers) else d.target
+    right = len(top) - strand - width
+    if strand < 0 or right < 0:
+        return False
+    return all(len(layer.left) >= strand and len(layer.right) >= right
+               for layer in d.layers[lo:hi])

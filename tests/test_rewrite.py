@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strandcheck import rewrite
 from strandcheck.base import (
     BasePresentation,
     PolygonType,
@@ -535,6 +536,23 @@ def test_check_script_reports_failing_step(sig, base):
     assert not report.ok
     assert report.failed_step == 0
     assert "will-corrupt" not in session.verified
+
+
+def test_check_script_lets_internal_errors_propagate(sig, base, monkeypatch):
+    """A bug in the checker crashes; it is not reported as a failed proof."""
+    session = CheckerSession(sig)
+    d, pt = two_layer_stack(base)
+    script = DerivationBuilder(session, "internal-error", d,
+                               identity_diagram(d.source)).rule(
+        "L1a", pt=pt).finish()
+
+    def broken_apply_step(*args):
+        raise AttributeError("internal bug")
+
+    monkeypatch.setattr(rewrite, "apply_step", broken_apply_step)
+    with pytest.raises(AttributeError, match="internal bug"):
+        check_script(session, script)
+    assert "internal-error" not in session.verified
 
 
 def test_check_script_rejects_nonparallel_claim(sig, base):
