@@ -9,11 +9,26 @@ semantic oracle: two diagrams proven equal by the checker must evaluate
 to the same function on every sampled instance.
 
 Conventions. A family over an object is one finite set per carrier
-element; the terminal symbol carries a single one-point fiber. The
-direct image along g tags elements with their fiber index, so the unit
-is x |-> (a, x) and the counit is the fold (a, x) |-> x. The inverted
-comparison cell of a marked square is computed by building the forward
-comparison bijection and inverting it pointwise.
+element; the terminal symbol carries a single one-point fiber. ``g*``
+reindexes, so the fiber of ``g* Y`` over ``a`` is the fiber of ``Y``
+over ``g(a)``; ``g!`` is the disjoint union that tags each element with
+its fiber index, so an element of ``g! X`` over ``b`` is a pair
+``(a, v)`` with ``g(a) = b``.
+
+Reading a diagram. Every generator acts one fiber at a time, so a
+diagram is a function on elements, and an element (a base point and a
+fiber element over it) is carried down the layers one at a time. At a
+layer the right whisker is peeled off from the outside in: a ``g*``
+strand moves the base point to its image under ``g``, a ``g!`` strand
+unpacks its ``(a, v)`` tag. The generator then acts at the base point
+reached: the unit is ``v |-> (a, v)``, the counit the fold
+``(a, v) |-> v``, a coherence cell the identity (once both polygon
+sides are seen to send the base point to the same element), a descent
+cell a lookup in its environment map, and the inverted comparison cell
+of a marked square a corner lookup: ``(x, v) |-> (w, v)`` for the
+unique corner element ``w`` over ``x`` and the base point. The whisker
+is then wrapped back on. The left whisker only says which family the
+element lives in, so it is never interpreted.
 """
 
 from __future__ import annotations
@@ -22,13 +37,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Union
 
-from .base import ArrowGen, BasePresentation, ObjectId, Path
+from .base import ArrowGen, BasePresentation, ObjectId, Path, PullbackSquare
 from .calculus import (
     Coherence,
     Counit,
     DescentCell,
     Diagram,
-    FiberSym,
     GenTwoCell,
     MacroCell,
     ObjTok,
@@ -70,10 +84,6 @@ class Family:
     over: Optional[ObjectId]
     fibers: tuple[tuple[object, tuple], ...]
 
-    @property
-    def carrier(self) -> tuple:
-        return tuple(e for e, _ in self.fibers)
-
     def fiber(self, elem) -> tuple:
         for e, fib in self.fibers:
             if e == elem:
@@ -106,24 +116,6 @@ class FamilyMap:
                 f"map endpoints over different objects: {self.src.over!r}, {self.dst.over!r}"
             )
 
-    def apply(self, elem, x):
-        return self.components[elem][x]
-
-
-def identity_map(fam: Family) -> FamilyMap:
-    return FamilyMap(fam, fam, {e: {x: x for x in fib} for e, fib in fam.fibers})
-
-
-def compose_maps(m1: FamilyMap, m2: FamilyMap) -> FamilyMap:
-    """The composite ``m2`` after ``m1``."""
-    if m1.dst != m2.src:
-        raise TypeMismatch("family maps do not compose: middle families differ")
-    components = {
-        e: {x: m2.components[e][y] for x, y in comp.items()}
-        for e, comp in m1.components.items()
-    }
-    return FamilyMap(m1.src, m2.dst, components)
-
 
 # ---------------------------------------------------------------------------
 # finite instances of a base presentation
@@ -141,11 +133,6 @@ class FinInstance:
     base: BasePresentation
     carrier: dict
     action: dict
-
-    def carrier_of(self, sym: FiberSym) -> tuple:
-        if sym.is_terminal:
-            return (_TERMINAL_POINT,)
-        return self.carrier[sym.obj]
 
     def apply_arrow(self, arrow: ArrowGen, elem):
         return self.action[arrow][elem]
@@ -302,107 +289,97 @@ def interpret_path(
     return x
 
 
-def map_along_token(t: OneCellToken, inst: FinInstance, m: FamilyMap) -> FamilyMap:
-    """The functorial action of a one-cell token on a family map."""
-    if isinstance(t, Star):
-        g = t.arrow
-        src = interpret_token(t, inst, m.src)
-        dst = interpret_token(t, inst, m.dst)
-        components = {
-            a: dict(m.components[inst.apply_arrow(g, a)]) for a in inst.carrier[g.src]
-        }
-        return FamilyMap(src, dst, components)
-    if isinstance(t, Shriek):
-        g = t.arrow
-        src = interpret_token(t, inst, m.src)
-        dst = interpret_token(t, inst, m.dst)
-        components = {}
-        for b, fib in src.fibers:
-            components[b] = {(a, v): (a, m.components[a][v]) for a, v in fib}
-        return FamilyMap(src, dst, components)
-    raise TypeMismatch(f"token {t!r} cannot act on a family map")
-
-
-def map_along_path(p: OneCellPath, inst: FinInstance, m: FamilyMap) -> FamilyMap:
-    for t in p.tokens:
-        m = map_along_token(t, inst, m)
-    return m
-
-
 # ---------------------------------------------------------------------------
-# interpreting two-cell generators and diagrams
+# interpreting diagrams element by element
 
 
-def _square_inverse(g: SquareInv, inst: FinInstance, x: Family) -> FamilyMap:
-    """Invert the forward comparison of a marked square pointwise."""
-    sq = g.square
-    gs, gt = generator_boundary(g)
-    src_fam = interpret_path(gs, inst, x)
-    dst_fam = interpret_path(gt, inst, x)
-    components = {}
-    for y in inst.carrier[sq.c.dst]:
-        forward = {}
-        for w in inst.carrier[sq.a.src]:
-            if inst.apply_arrow(sq.c, w) != y:
-                continue
-            for v in x.fiber(inst.apply_arrow(sq.a, w)):
-                forward[(w, v)] = (inst.apply_arrow(sq.a, w), v)
-        inverse = {}
-        for key, val in forward.items():
-            if val in inverse:
-                raise RelationViolated(
-                    f"square {sq.label}: comparison is not injective at {y!r}"
-                )
-            inverse[val] = key
-        if set(inverse) != set(src_fam.fiber(y)):
+def _comparison_inverse(sq: PullbackSquare, inst: FinInstance):
+    """The step of ``bcbar`` at a marked square: a corner lookup.
+
+    An element ``(x, v)`` over ``y`` goes to ``(w, v)``, where ``w`` is the
+    corner element with ``a(w) = x`` and ``c(w) = y``; a genuine pullback
+    has exactly one.
+    """
+    act_a, act_c = inst.action[sq.a], inst.action[sq.c]
+    corner = {}
+    for w in inst.carrier[sq.a.src]:
+        corner.setdefault((act_a[w], act_c[w]), []).append(w)
+
+    def bcbar(y, tagged):
+        x, v = tagged
+        found = corner.get((x, y), ())
+        if len(found) > 1:
+            raise RelationViolated(
+                f"square {sq.label}: comparison is not injective at {y!r}"
+            )
+        if not found:
             raise RelationViolated(
                 f"square {sq.label}: comparison is not onto at {y!r}"
             )
-        components[y] = inverse
-    return FamilyMap(src_fam, dst_fam, components)
+        return (found[0], v)
+
+    return bcbar
 
 
-def interpret_generator(
-    g: GenTwoCell, inst: FinInstance, x: Family, env: Optional[dict] = None
-) -> FamilyMap:
-    """The family map of one generator applied at input family ``x``.
+def _generator_step(g: GenTwoCell, inst: FinInstance, env: Optional[dict]):
+    """The action of one generator on one element of its source family.
 
-    ``x`` is the family reached at the generator's position, that is the
-    interpretation of the layer's left whisker.
+    The step takes a base point ``x`` over the generator's codomain and an
+    element ``v`` of the fiber over ``x``, and returns the image element,
+    which lies over the same point.
     """
-    gs, gt = generator_boundary(g)
-    if isinstance(g, Coherence):
-        src_fam = interpret_path(gs, inst, x, env)
-        dst_fam = interpret_path(gt, inst, x, env)
-        if src_fam != dst_fam:
-            raise RelationViolated(
-                f"coherence {g!r}: polygon sides differ extensionally"
-            )
-        return identity_map(src_fam)
     if isinstance(g, Unit):
-        dst_fam = interpret_path(gt, inst, x, env)
-        components = {a: {v: (a, v) for v in fib} for a, fib in x.fibers}
-        return FamilyMap(x, dst_fam, components)
+        return lambda x, v: (x, v)
     if isinstance(g, Counit):
-        src_fam = interpret_path(gs, inst, x, env)
-        components = {b: {(a, v): v for a, v in fib} for b, fib in src_fam.fibers}
-        return FamilyMap(src_fam, x, components)
+        return lambda x, v: v[1]
+    if isinstance(g, Coherence):
+        top, bottom = g.pt.top, g.pt.bottom
+
+        def chi(x, v):
+            if inst.apply_path(top, x) != inst.apply_path(bottom, x):
+                raise RelationViolated(
+                    f"coherence {g!r}: polygon sides differ extensionally at {x!r}"
+                )
+            return v
+
+        return chi
     if isinstance(g, SquareInv):
-        return _square_inverse(g, inst, x)
+        return _comparison_inverse(g.square, inst)
     if isinstance(g, DescentCell):
         if env is None or g not in env:
             raise EnvMissing(f"no family map assigned to descent cell {g!r}")
         m = env[g]
-        src_fam = interpret_path(gs, inst, x, env)
-        dst_fam = interpret_path(gt, inst, x, env)
-        if m.src != src_fam or m.dst != dst_fam:
+        gs, gt = generator_boundary(g)
+        if (m.src != interpret_path(gs, inst, terminal_family(), env)
+                or m.dst != interpret_path(gt, inst, terminal_family(), env)):
             raise TypeMismatch(f"assigned map for {g!r} has the wrong boundary")
-        return m
+        components = m.components
+        return lambda x, v: components[x][v]
     if isinstance(g, MacroCell):
         raise InvalidGenerator(
             f"folded macro {g!r} has no extensional interpretation; unfold it first"
         )
     raise InvalidGenerator(f"unknown generator {g!r}")
+
+
+def _carry(point, value, steps: list, inst: FinInstance):
+    """The image of the element ``value`` over ``point`` under ``steps``,
+    each a layer's right whisker paired with its generator step."""
+    action = inst.action
+    stack = []
+    for right, step in steps:
+        for t in reversed(right):
+            stack.append(point)
+            if isinstance(t, Star):
+                point = action[t.arrow][point]
+            else:
+                point, value = value
+        value = step(point, value)
+        for t in right:
+            if isinstance(t, Shriek):
+                value = (point, value)
+            point = stack.pop()
+    return value
 
 
 def interpret_diagram(
@@ -411,8 +388,10 @@ def interpret_diagram(
     env: Optional[dict] = None,
     input_family: Optional[Family] = None,
 ) -> FamilyMap:
-    """The composite family map of a diagram.
+    """The family map of a diagram, computed element by element.
 
+    Every element of the source family is carried down the layers (see
+    the module docstring); the left whiskers are never interpreted.
     ``env`` assigns a Family to each object token and a FamilyMap to
     each descent cell occurring in the diagram. A diagram whose boundary
     starts at the terminal symbol needs no ``input_family``; otherwise
@@ -431,13 +410,15 @@ def interpret_diagram(
                 f"got {input_family.over!r}"
             )
         start = input_family
-    cur = identity_map(interpret_path(d.source, inst, start, env))
-    for layer in d.layers:
-        left_fam = interpret_path(layer.left, inst, start, env)
-        gen_map = interpret_generator(layer.gen, inst, left_fam, env)
-        layer_map = map_along_path(layer.right, inst, gen_map)
-        cur = compose_maps(cur, layer_map)
-    return cur
+    src = interpret_path(d.source, inst, start, env)
+    steps = [
+        (layer.right.tokens, _generator_step(layer.gen, inst, env))
+        for layer in d.layers
+    ]
+    components = {
+        e: {v: _carry(e, v, steps, inst) for v in fib} for e, fib in src.fibers
+    }
+    return FamilyMap(src, interpret_path(d.target, inst, start, env), components)
 
 
 # ---------------------------------------------------------------------------

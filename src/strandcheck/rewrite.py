@@ -404,6 +404,25 @@ def decide_fib_equal(d1: Diagram, d2: Diagram) -> bool:
 # oriented rewriting (used by the confluence probe)
 
 
+def _absorbed(layer: Layer, side: str) -> Optional[Layer]:
+    """The coherence layer with its innermost ``side`` whisker strand
+    absorbed into the polygon type (R3.1 on the right, R3.2 on the left),
+    or None when that strand is not a pullback strand."""
+    pt = layer.gen.pt
+    if side == "right":
+        if not (layer.right.tokens and isinstance(layer.right.tokens[0], Star)):
+            return None
+        ext = path_of(layer.right.tokens[0].arrow)
+        new_pt = PolygonType(compose_paths(ext, pt.top), compose_paths(ext, pt.bottom))
+        return Layer(layer.left, Coherence(new_pt), slice_cells(layer.right, 1))
+    if not (layer.left.tokens and isinstance(layer.left.tokens[-1], Star)):
+        return None
+    ext = path_of(layer.left.tokens[-1].arrow)
+    new_pt = PolygonType(compose_paths(pt.top, ext), compose_paths(pt.bottom, ext))
+    return Layer(slice_cells(layer.left, 0, len(layer.left) - 1),
+                 Coherence(new_pt), layer.right)
+
+
 def _oriented_successors_one(d: Diagram):
     """Single oriented rule applications on this exact layer presentation."""
     layers = d.layers
@@ -412,21 +431,11 @@ def _oriented_successors_one(d: Diagram):
         # R1: delete a trivial coherence cell
         if pt.top == pt.bottom:
             yield Diagram(d.source, d.target, layers[:i] + layers[i + 1 :])
-        # R3.1: absorb the innermost right-whisker strand
-        if layer.right.tokens and isinstance(layer.right.tokens[0], Star):
-            a = layer.right.tokens[0].arrow
-            ext = path_of(a)
-            new_pt = PolygonType(compose_paths(ext, pt.top), compose_paths(ext, pt.bottom))
-            new = Layer(layer.left, Coherence(new_pt), slice_cells(layer.right, 1))
-            yield Diagram(d.source, d.target, layers[:i] + (new,) + layers[i + 1 :])
-        # R3.2: absorb the innermost left-whisker strand
-        if layer.left.tokens and isinstance(layer.left.tokens[-1], Star):
-            a = layer.left.tokens[-1].arrow
-            ext = path_of(a)
-            new_pt = PolygonType(compose_paths(pt.top, ext), compose_paths(pt.bottom, ext))
-            new = Layer(slice_cells(layer.left, 0, len(layer.left) - 1),
-                        Coherence(new_pt), layer.right)
-            yield Diagram(d.source, d.target, layers[:i] + (new,) + layers[i + 1 :])
+        # R3.1 and R3.2: absorb the innermost right or left whisker strand
+        for side in ("right", "left"):
+            new = _absorbed(layer, side)
+            if new is not None:
+                yield Diagram(d.source, d.target, layers[:i] + (new,) + layers[i + 1 :])
         # R2: merge with the next layer when aligned
         if i + 1 < len(layers):
             nxt = layers[i + 1]
@@ -469,25 +478,11 @@ def absorb_closure(d: Diagram) -> Diagram:
         for i, layer in enumerate(layers):
             if not isinstance(layer.gen, Coherence):
                 continue
-            pt = layer.gen.pt
-            if layer.right.tokens and isinstance(layer.right.tokens[0], Star):
-                a = layer.right.tokens[0].arrow
-                ext = path_of(a)
-                layers[i] = Layer(
-                    layer.left,
-                    Coherence(PolygonType(compose_paths(ext, pt.top),
-                                          compose_paths(ext, pt.bottom))),
-                    slice_cells(layer.right, 1))
-                changed = True
-                break
-            if layer.left.tokens and isinstance(layer.left.tokens[-1], Star):
-                a = layer.left.tokens[-1].arrow
-                ext = path_of(a)
-                layers[i] = Layer(
-                    slice_cells(layer.left, 0, len(layer.left) - 1),
-                    Coherence(PolygonType(compose_paths(pt.top, ext),
-                                          compose_paths(pt.bottom, ext))),
-                    layer.right)
+            new = _absorbed(layer, "right")
+            if new is None:
+                new = _absorbed(layer, "left")
+            if new is not None:
+                layers[i] = new
                 changed = True
                 break
     return exchange_canonical(Diagram(d.source, d.target, tuple(layers)))

@@ -36,7 +36,6 @@ from strandcheck.descent import (
 from strandcheck.finmodel import (
     Family,
     free_algebra_env,
-    identity_map,
     interpret_diagram,
     make_instance,
     oracle_equal,
@@ -52,6 +51,7 @@ from strandcheck.rewrite import (
 )
 
 from exchange_oracle import swap_adjacent
+from finmodel_oracle import identity_map
 
 
 def _report(criterion: str, ok: bool) -> None:

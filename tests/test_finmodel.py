@@ -1,22 +1,29 @@
 """The finite-set families model and its extensional oracle."""
 
 import random
+from importlib.resources import files
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strandcheck.base import PolygonType
 from strandcheck.calculus import (
+    Coherence,
     Counit,
+    DescentCell,
     Layer,
     MacroCell,
+    OneCellPath,
     Shriek,
+    SquareInv,
     Star,
     Unit,
     cells,
     exchange_canonical,
     fiber,
     from_layers,
+    generator_boundary,
     identity_cells,
     identity_diagram,
     single,
@@ -26,6 +33,7 @@ from strandcheck.descent import (
     _Names,
     axiom_equations,
     builtin_descent_base,
+    bundle_file_name,
     bundled_scripts,
     etaprime,
     muprime,
@@ -42,9 +50,7 @@ from strandcheck.errors import (
 )
 from strandcheck.finmodel import (
     Family,
-    compose_maps,
     free_algebra_env,
-    identity_map,
     interpret_diagram,
     interpret_path,
     interpret_token,
@@ -55,7 +61,10 @@ from strandcheck.finmodel import (
     terminal_family,
     validate_instance,
 )
+from strandcheck.parser import parse_script_file
 from strandcheck.rewrite import bc_expansion
+
+from finmodel_oracle import compose_maps, identity_map, reference_interpret
 
 
 @pytest.fixture(scope="module")
@@ -207,8 +216,6 @@ def test_star_triangle_is_identity(inst, names):
 
 
 def test_comparison_roundtrips_are_identities(inst, names):
-    from strandcheck.calculus import SquareInv
-
     fwd = bc_expansion(names.P1)
     bwd = single(SquareInv(names.P1))
     b = _obj(inst, "B")
@@ -331,3 +338,133 @@ def test_empty_instance_evaluates(names):
     for eq in axiom_equations("AC", names.base):
         assert interpret_diagram(eq.lhs, empty, env) == \
             interpret_diagram(eq.rhs, empty, env)
+
+
+# ---------------------------------------------------------------------------
+# agreement with the whole-family reference, and the error paths
+
+
+def _bundle_diagrams():
+    data = files("strandcheck") / "bundle"
+    out = []
+    for kind in ("TA", "DD", "AC"):
+        text = (data / bundle_file_name(kind)).read_text(encoding="utf-8")
+        out.extend(parse_script_file(text).diagrams.values())
+    return out
+
+
+def _input_family(rng, inst, d):
+    if d.source.dom.is_terminal:
+        return None
+    return random_family(rng, inst, d.source.dom.obj, 3)
+
+
+def test_bundle_diagrams_agree_with_reference():
+    diagrams = _bundle_diagrams()
+    assert len(diagrams) == 56
+    rng = random.Random(2024)
+    compared = 0
+    for _ in range(50):
+        inst = random_instance(rng, 4)
+        env = free_algebra_env(rng, inst, 3)
+        for d in diagrams:
+            x = _input_family(rng, inst, d)
+            assert interpret_diagram(d, inst, env, x) == \
+                reference_interpret(d, inst, env, x), d
+            compared += 1
+    assert compared == 2800
+
+
+def _random_string(rng, base, at, length, backwards=False):
+    """A random string of ``*`` and ``!`` strands that starts at object
+    ``at``, or ends there when ``backwards``."""
+    start, tokens = at, []
+    for _ in range(length):
+        moves = [t for a in base.arrows for t in (Star(a), Shriek(a))
+                 if (t.cod if backwards else t.dom).obj == at]
+        t = rng.choice(moves)
+        tokens.append(t)
+        at = (t.dom if backwards else t.cod).obj
+    if backwards:
+        return OneCellPath(fiber(at), tuple(reversed(tokens)))
+    return OneCellPath(fiber(start), tuple(tokens))
+
+
+def _one_generator_diagrams(base):
+    n = _Names(base)
+    gens = [g for a in base.arrows for g in (Unit(a), Counit(a))]
+    gens += [Coherence(PolygonType(rel.lhs, rel.rhs)) for rel in base.relations]
+    gens += [Coherence(n.pt_P1), Coherence(n.d_pt(1)), Coherence(n.j_pt())]
+    gens += [SquareInv(n.P1), SquareInv(n.P2)]
+    descent = [signature_for(kind, base).descent_generator()
+               for kind in ("TA", "DD", "AC")]
+    rng = random.Random(99)
+    out = []
+    for g in gens + descent:
+        gs, _ = generator_boundary(g)
+        for length in range(4):
+            left = identity_cells(gs.dom) if g in descent else \
+                _random_string(rng, base, gs.dom.obj, rng.randint(0, 2), True)
+            right = _random_string(rng, base, gs.cod.obj, length)
+            out.append(from_layers([Layer(left, g, right)]))
+    return out
+
+
+def test_one_generator_diagrams_agree_with_reference(base):
+    diagrams = _one_generator_diagrams(base)
+    kinds = {type(d.layers[0].gen) for d in diagrams}
+    assert kinds == {Unit, Counit, Coherence, SquareInv, DescentCell}
+    strands = {type(t) for d in diagrams for t in d.layers[0].right.tokens}
+    assert strands == {Star, Shriek}
+    rng = random.Random(7)
+    for _ in range(20):
+        inst = random_instance(rng, 4)
+        env = free_algebra_env(rng, inst, 3)
+        for d in diagrams:
+            x = _input_family(rng, inst, d)
+            assert interpret_diagram(d, inst, env, x) == \
+                reference_interpret(d, inst, env, x), d
+
+
+@pytest.mark.parametrize("tamper, message", [
+    ("duplicate", "not injective"),
+    ("drop", "not onto"),
+])
+def test_comparison_inverse_rejects_non_pullback(names, tamper, message):
+    broken = make_instance(("a",), ("b1", "b2"), {"b1": "a", "b2": "a"})
+    q = _obj(broken, "Q")
+    if tamper == "duplicate":
+        broken.carrier[q] += ("extra",)
+        for arrow in (names.f1, names.f2):
+            broken.action[arrow] = {**broken.action[arrow], "extra": "b1"}
+    else:
+        broken.carrier[q] = tuple(w for w in broken.carrier[q] if w != ("b1", "b2"))
+    d = single(SquareInv(names.P1))
+    with pytest.raises(RelationViolated, match=message):
+        interpret_diagram(d, broken, input_family=_family_over_b(broken))
+
+
+def test_coherence_rejects_broken_relation(names):
+    broken = make_instance(("a1", "a2"), ("b1", "b2"), {"b1": "a1", "b2": "a2"})
+    broken.action[names.f1] = {**broken.action[names.f1], ("b1", "b1"): "b2"}
+    a = _obj(broken, "A")
+    y = Family(a, (("a1", ("p",)), ("a2", ("q",))))
+    with pytest.raises(RelationViolated):
+        interpret_diagram(single(Coherence(names.pt_P1)), broken, input_family=y)
+
+
+def test_descent_map_with_wrong_boundary_rejected(inst, names):
+    alpha = signature_for("TA", names.base).descent_generator()
+    phi = signature_for("DD", names.base).descent_generator()
+    env = free_algebra_env(random.Random(3), inst, 2)
+    env[alpha] = env[phi]
+    with pytest.raises(TypeMismatch):
+        interpret_diagram(single(alpha), inst, env)
+
+
+def test_missing_descent_map_rejected(inst, names):
+    beta = signature_for("AC", names.base).descent_generator()
+    env = free_algebra_env(random.Random(3), inst, 2)
+    del env[beta]
+    with pytest.raises(EnvMissing):
+        interpret_diagram(single(beta), inst, env)
