@@ -2,9 +2,11 @@
 
 A two-cell is a ``Diagram``: an ordered list of layers read top to bottom,
 each layer a single generator flanked by identity whiskers. Planar isotopy
-is captured exactly by the exchange relation (sliding generators past each
-other on disjoint strands); ``exchange_canonical`` computes the unique
-greedy-leftmost representative of each isotopy class.
+is modelled by exchange moves (sliding generators past each other on
+disjoint strands); ``exchange_canonical`` returns the least presentation
+reachable from a diagram by such moves. The moves are not symmetric (see
+``_swap_compact``), so that form can depend on the presentation it starts
+from, and on which diagrams were canonicalized first in the process.
 
 Token order convention: in a one-cell string the leftmost token is the first
 applied. ``star_lift`` therefore reverses a base path, ``shriek_lift``
@@ -24,7 +26,6 @@ from .base import (
     Path,
     PolygonType,
     PullbackSquare,
-    empty_path,
     validate_polygon_type,
 )
 from .errors import (
@@ -310,15 +311,9 @@ def _macro_arg_repr(a):
 GenTwoCell = Coherence | Unit | Counit | SquareInv | DescentCell | MacroCell
 
 
-_GEN_BOUNDARY_MEMO: dict = {}
-
-
 def generator_boundary(g: GenTwoCell) -> tuple[OneCellPath, OneCellPath]:
     """Source and target one-cell strings of a generator."""
-    cached = _GEN_BOUNDARY_MEMO.get(g)
-    if cached is None:
-        cached = _GEN_BOUNDARY_MEMO[g] = _generator_boundary(g)
-    return cached
+    return _GEN_LIST[_gen_id(g)][1]
 
 
 def _generator_boundary(g: GenTwoCell) -> tuple[OneCellPath, OneCellPath]:
@@ -551,7 +546,9 @@ def hcompose(d1: Diagram, d2: Diagram) -> Diagram:
 # Layers carry whisker paths, which makes swapping and hashing them costly.
 # The exchange search therefore runs on compact words of (generator id,
 # offset) pairs; a word plus the top boundary determines the layer sequence.
-# Generators are interned to small integers so that word hashing is cheap.
+# Generators are interned to small integers so that word hashing is cheap:
+# generator -> id, id -> (generator, boundary), id -> boundary widths. Ids
+# are labels only; no order on words reads them.
 
 _GEN_IDS: dict = {}
 _GEN_LIST: list = []
@@ -561,15 +558,20 @@ _GEN_W: list = []
 def _gen_id(gen) -> int:
     gid = _GEN_IDS.get(gen)
     if gid is None:
-        gid = len(_GEN_LIST)
-        _GEN_IDS[gen] = gid
-        _GEN_LIST.append(gen)
-        gs, gt = generator_boundary(gen)
+        gs, gt = _generator_boundary(gen)
+        gid = _GEN_IDS[gen] = len(_GEN_LIST)
+        _GEN_LIST.append((gen, (gs, gt)))
         _GEN_W.append((len(gs), len(gt)))
     return gid
 
 
 def _swap_compact(i1, i2):
+    """The exchange move on adjacent layers ``i1`` over ``i2``, or None.
+
+    When the upper cell has no outputs, the lower has no inputs and both
+    sit at one offset, both branches apply; the first always wins, which
+    puts the lower cell on the left, so the move back may not exist.
+    """
     g1, a = i1
     g2, c = i2
     s1, t1 = _GEN_W[g1]
@@ -609,7 +611,7 @@ def expand_word(source: OneCellPath, word: tuple) -> tuple[Layer, ...]:
     top = source
     for gid, off in word:
         s, _ = _GEN_W[gid]
-        layer = Layer(slice_cells(top, 0, off), _GEN_LIST[gid],
+        layer = Layer(slice_cells(top, 0, off), _GEN_LIST[gid][0],
                       slice_cells(top, off + s))
         layers.append(layer)
         top = layer.boundary()[1]
@@ -618,7 +620,7 @@ def expand_word(source: OneCellPath, word: tuple) -> tuple[Layer, ...]:
 
 def word_generator(gid: int) -> GenTwoCell:
     """The generator interned as ``gid`` in a compact word."""
-    return _GEN_LIST[gid]
+    return _GEN_LIST[gid][0]
 
 
 def word_widths(word: tuple, top_width: int) -> list[int]:
@@ -709,11 +711,12 @@ def _canonical_layers(layers: tuple[Layer, ...], memo: dict) -> tuple[Layer, ...
     generator sitting at the edge of a deletion interval can slide through
     the deletion, which changes which other layers it overlaps, so the set
     of layers movable to the top depends on the chosen presentation. The
-    exchange moves are symmetric, so breadth-first closure enumerates the
-    whole class and its key-sequence minimum is presentation-independent.
+    exchange moves are not symmetric (``_swap_compact``), so the words
+    reached, and their key-sequence minimum, can depend on the start word.
     The class comes from the class table, so it is walked once per start
     word however many callers need it, and every visited presentation is
-    memoized to the shared result.
+    memoized to this walk's result: the first walk that visits a word fixes
+    its canonical form for the rest of the process.
     """
     if not layers:
         return ()
@@ -726,7 +729,7 @@ def _canonical_layers(layers: tuple[Layer, ...], memo: dict) -> tuple[Layer, ...
     genkeys = {}
     for g, _ in word:
         if g not in genkeys:
-            genkeys[g] = gen_sort_key(_GEN_LIST[g])
+            genkeys[g] = gen_sort_key(_GEN_LIST[g][0])
     best = min(words, key=lambda w: tuple((o, genkeys[g]) for g, o in w))
     result = expand_word(source, best)
     for w in words:
@@ -738,7 +741,7 @@ _CANON_MEMO: dict = {}
 
 
 def exchange_canonical(d: Diagram) -> Diagram:
-    """The unique greedy-leftmost representative of a diagram's isotopy class."""
+    """The least presentation reachable from ``d`` (see ``_canonical_layers``)."""
     if len(_CANON_MEMO) > 400000:
         _CANON_MEMO.clear()
     return Diagram(d.source, d.target, _canonical_layers(d.layers, _CANON_MEMO))

@@ -5,8 +5,12 @@ bifibrational term calculi (coherence collapse, adjunction triangles,
 comparison-cell invertibility) together with three derived rules
 (coherence invertibility, generalized whiskering, horizontal pasting).
 Proof scripts rewrite a claim's left-hand side step by step into its
-right-hand side; every step is re-validated against the stated rule,
-position, and result, modulo planar isotopy only.
+right-hand side. One kernel, ``apply_step``, checks every positioned
+step: the one region scanner ``_scan_regions`` resolves the position
+(``_blocks_at`` fixes all four region fields), each block found is
+compared with the pattern, the replacement is spliced in between the
+strings ``extract_block`` cut beside the block, and the outcome is
+compared with the stated result, all modulo exchange of layers only.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .calculus import (
     exchange_class,
     fiber,
     from_layers,
-    generator_boundary,
     identity_cells,
     identity_diagram,
     isotopic,
@@ -713,58 +716,44 @@ def binding_key(binding: dict) -> tuple:
     return tuple(sorted(binding.items(), key=lambda kv: kv[0]))
 
 
-def _chain_boundary(layers, source):
-    at = source
-    for l in layers:
-        at = l.boundary()[1]
-    return at
-
-
-def extract_block(d: Diagram, region: Region) -> tuple[Diagram, list[OneCellPath]]:
+def extract_block(d: Diagram, region: Region
+                  ) -> tuple[Diagram, tuple[OneCellPath, OneCellPath]]:
     """Cut the sub-diagram at ``region`` out of a layer sequence.
 
-    Returns the block (with stripped whiskers) and, for each of its layers,
-    the outer left whisker needed to splice a replacement back in. Raises
-    PatternNotFound when any generator in the range sticks out of the
-    block's strand interval.
+    Returns the block (with stripped whiskers) and the strings left and
+    right of it at its top, which whisker every layer of the block.
+    Raises PatternNotFound when any generator in the range sticks out of
+    the block's strand interval.
     """
     misfit = region_misfit(compact_word(d.layers), len(d.source), region.lo,
                            region.hi, region.strand, region.width)
     if misfit is not None:
         raise PatternNotFound(misfit)
-    top = _chain_boundary(d.layers[: region.lo], d.source)
-    cur_lo = region.strand
-    cur_hi = region.strand + region.width
+    top = (d.layers[region.lo].boundary()[0] if region.lo < len(d.layers)
+           else d.target)
+    lo, hi = region.strand, region.strand + region.width
+    block_src = slice_cells(top, lo, hi)
+    beside = (slice_cells(top, 0, lo), slice_cells(top, hi))
     block_layers = []
-    outer_lefts = []
     for layer in d.layers[region.lo : region.hi]:
         s_w, t_w = layer.gen_widths()
-        off = layer.offset
-        pre = layer.boundary()[0]
-        outer_lefts.append(slice_cells(pre, 0, cur_lo))
-        block_layers.append(Layer(
-            slice_cells(pre, cur_lo, off), layer.gen,
-            slice_cells(pre, off + s_w, cur_hi),
-        ))
-        cur_hi += t_w - s_w
-    block_src = slice_cells(top, region.strand, region.strand + region.width)
-    block = from_layers(block_layers, source=block_src)
-    return block, outer_lefts
+        pre, off = layer.boundary()[0], layer.offset
+        block_layers.append(Layer(slice_cells(pre, lo, off), layer.gen,
+                                  slice_cells(pre, off + s_w, hi)))
+        hi += t_w - s_w
+    return from_layers(block_layers, source=block_src), beside
 
 
 def splice_block(d: Diagram, region: Region, replacement: Diagram) -> Diagram:
     """Replace the block at ``region`` with an equal-boundary diagram."""
-    block, _ = extract_block(d, region)
+    block, (left, right) = extract_block(d, region)
     if (replacement.source != block.source or replacement.target != block.target):
         raise BoundaryChanged(
             f"replacement boundary {replacement.source!r} => {replacement.target!r} "
             f"does not match the block"
         )
-    top = _chain_boundary(d.layers[: region.lo], d.source)
-    outer_l = slice_cells(top, 0, region.strand)
-    outer_r = slice_cells(top, region.strand + region.width)
-    new_mid = [Layer(concat_cells(outer_l, l.left), l.gen,
-                     concat_cells(l.right, outer_r))
+    new_mid = [Layer(concat_cells(left, l.left), l.gen,
+                     concat_cells(l.right, right))
                for l in replacement.layers]
     layers = d.layers[: region.lo] + tuple(new_mid) + d.layers[region.hi :]
     return Diagram(d.source, d.target, layers)
@@ -811,27 +800,73 @@ class CheckerSession:
         return lhs, rhs
 
 
+def _scan_regions(d: Diagram, lo: Optional[int] = None,
+                  height: Optional[int] = None, strand: Optional[int] = None,
+                  width: Optional[int] = None, coherence_only: bool = False):
+    """(representative, region, block) for every region that extracts cleanly.
+
+    Scans every presentation of ``d``'s isotopy class in class order from
+    the canonical form; in each, layer ranges top to bottom (shorter
+    first), then strands left to right (narrower first). ``lo``,
+    ``height``, ``strand`` and ``width`` fix the region's first layer,
+    layer count, first strand and strand count; None leaves them free.
+    With ``coherence_only`` only ranges of coherence layers are scanned.
+    Regions are tried on compact words with ``region_misfit``, the one
+    rule of fit, so a presentation is expanded only once a region fits.
+    """
+    cls = _isotopy_class(exchange_canonical(d))
+    top_width, n_l = len(d.source), len(d.layers)  # every word has n_l layers
+    spans = [(l, l + h) for l in _sizes(lo, 0, n_l)
+             for h in _sizes(height, 1, n_l - l)]
+    for i, word in enumerate(cls.words):
+        widths = (word_widths(word, top_width)
+                  if strand is None or width is None else ())
+        for l, hi in spans:
+            if coherence_only and not all(
+                    isinstance(word_generator(g), Coherence)
+                    for g, _ in word[l:hi]):
+                continue
+            # a fixed l outside the word is never an index
+            room = widths[l] if 0 <= l < len(widths) else -1
+            for s in _sizes(strand, 0, room):
+                for w in _sizes(width, 0, room - s):
+                    if region_misfit(word, top_width, l, hi, s, w) is None:
+                        rep = cls.presentation(i)
+                        region = Region(l, hi, s, w)
+                        block, _ = extract_block(rep, region)
+                        yield rep, region, block
+
+
+def _sizes(fixed: Optional[int], least: int, most: int):
+    """``(fixed,)``, or every size least..most when ``fixed`` is None."""
+    return range(least, most + 1) if fixed is None else (fixed,)
+
+
 def _blocks_at(d: Diagram, region: Region):
     """(representative, block) pairs where the region extracts cleanly.
 
-    Positions refer to a contiguous sub-block in some presentation of the
-    diagram's isotopy class; matching quantifies over representatives, in
-    class order from the canonical form. The position is resolved on the
-    compact words of the class, which the class table walks once per start
-    word, and only the presentations where the region fits are expanded.
+    A position names a contiguous sub-block in some presentation of the
+    diagram's exchange class; this is the scanner with every field fixed.
     """
-    cls = _isotopy_class(exchange_canonical(d))
-    top_width = len(d.source)
-    for i, word in enumerate(cls.words):
-        if region_misfit(word, top_width, region.lo, region.hi,
-                         region.strand, region.width) is None:
-            rep = cls.presentation(i)
-            block, _ = extract_block(rep, region)
-            yield rep, block
+    for rep, _, block in _scan_regions(d, region.lo, region.hi - region.lo,
+                                       region.strand, region.width):
+        yield rep, block
+
+
+def _pure_chi(d: Diagram) -> bool:
+    return all(isinstance(l.gen, Coherence) for l in d.layers)
 
 
 def apply_step(session: CheckerSession, d: Diagram, step: ProofStep) -> Diagram:
-    """Validate one proof step against ``d`` and return its result."""
+    """Validate one proof step against ``d`` and return its result.
+
+    A positioned step is one pass over the blocks at its region. A block
+    matches the named pattern (rule, axiom, prior equality or macro) or,
+    for a coherence step, any coherence-only block; each replacement with
+    the block's boundary is spliced in and compared with the stated
+    result. A coherence step's replacements are the coherence-only blocks
+    of the stated result at the step's result region.
+    """
     c = exchange_canonical(d)
     if step.result.source != d.source or step.result.target != d.target:
         raise BoundaryChanged("step result changed the claim boundary")
@@ -843,40 +878,35 @@ def apply_step(session: CheckerSession, d: Diagram, step: ProofStep) -> Diagram:
     if step.region is None:
         raise PatternNotFound("step needs a position")
     if isinstance(just, FibCoherence):
-        extracted = pure = False
-        new_blocks = []
-        for _, nb in _blocks_at(step.result, just.result_region):
-            if all(isinstance(l.gen, Coherence) for l in nb.layers):
-                new_blocks.append(nb)
-        for rep, block in _blocks_at(c, step.region):
-            extracted = True
-            if not all(isinstance(l.gen, Coherence) for l in block.layers):
-                continue
-            pure = True
-            for nb in new_blocks:
-                if nb.source != block.source or nb.target != block.target:
-                    continue
-                if isotopic(splice_block(rep, step.region, nb), step.result):
-                    return step.result
-        if not extracted:
-            raise PatternNotFound(f"no block at {step.region}")
-        if not pure:
-            raise RegionNotPureChi(f"region {step.region} is not coherence-only")
-        raise ResultMismatch("coherence replacement does not yield the stated result")
-    pattern, replacement = session.pattern_pair(just)
-    pattern = exchange_canonical(pattern)
-    matched = False
+        replacements = [nb for _, nb in _blocks_at(step.result, just.result_region)
+                        if _pure_chi(nb)]
+        matches = _pure_chi
+    else:
+        pattern, replacement = session.pattern_pair(just)
+        pattern = exchange_canonical(pattern)
+        replacements = [replacement]
+
+        def matches(block):
+            return isotopic(block, pattern)
+    extracted = matched = False
     for rep, block in _blocks_at(c, step.region):
-        if not isotopic(block, pattern):
+        extracted = True
+        if not matches(block):
             continue
         matched = True
-        if isotopic(splice_block(rep, step.region, replacement), step.result):
-            return step.result
+        for new in replacements:
+            if (new.source == block.source and new.target == block.target
+                    and isotopic(splice_block(rep, step.region, new), step.result)):
+                return step.result
+    if isinstance(just, FibCoherence):
+        if not extracted:
+            raise PatternNotFound(f"no block at {step.region}")
+        if not matched:
+            raise RegionNotPureChi(f"region {step.region} is not coherence-only")
+        raise ResultMismatch("coherence replacement does not yield the stated result")
     if matched:
         raise ResultMismatch("stated result differs from the rewritten diagram")
-    raise PatternNotFound(
-        f"pattern for {just!r} does not occur at {step.region}"
-    )
+    raise PatternNotFound(f"pattern for {just!r} does not occur at {step.region}")
 
 
 def check_script(session: CheckerSession, script: ProofScript) -> CheckReport:
@@ -913,47 +943,6 @@ def check_script(session: CheckerSession, script: ProofScript) -> CheckReport:
 # derivation builder (used to author the bundled scripts)
 
 
-def _scan_regions(d: Diagram, height: Optional[int] = None,
-                  width: Optional[int] = None, coherence_only: bool = False):
-    """(representative, region, block) for every region that extracts cleanly.
-
-    Scans every presentation of ``d``'s isotopy class in class order; in
-    each, layer ranges top to bottom (shorter first), then strands left to
-    right (narrower first). ``height`` and ``width`` fix the region's layer
-    and strand counts; None leaves them free. With ``coherence_only`` only
-    ranges of coherence layers are scanned. Regions are tried on compact
-    words, so a presentation is expanded only once a region fits in it.
-    """
-    cls = _isotopy_class(exchange_canonical(d))
-    top_width = len(d.source)
-    for i, word in enumerate(cls.words):
-        n_l = len(word)
-        widths = word_widths(word, top_width)
-        for lo in range(n_l + 1):
-            for h in _sizes(height, n_l - lo, 1):
-                hi = lo + h
-                if coherence_only and not all(
-                        isinstance(word_generator(g), Coherence)
-                        for g, _ in word[lo:hi]):
-                    break
-                for strand in range(widths[lo] + 1):
-                    for w in _sizes(width, widths[lo] - strand, 0):
-                        if region_misfit(word, top_width, lo, hi, strand,
-                                         w) is not None:
-                            continue
-                        rep = cls.presentation(i)
-                        region = Region(lo, hi, strand, w)
-                        block, _ = extract_block(rep, region)
-                        yield rep, region, block
-
-
-def _sizes(fixed: Optional[int], room: int, least: int):
-    """``fixed`` if it fits in ``room``; when None, every size least..room."""
-    if fixed is None:
-        return range(least, room + 1)
-    return (fixed,) if fixed <= room else ()
-
-
 class DerivationBuilder:
     """Constructs a proof script by searching step positions automatically.
 
@@ -978,7 +967,8 @@ class DerivationBuilder:
         pattern = exchange_canonical(pattern)
         seen_results = []
         for rep, region, block in _scan_regions(
-                self.current, len(pattern.layers), len(pattern.source)):
+                self.current, height=len(pattern.layers),
+                width=len(pattern.source)):
             if not isotopic(block, pattern):
                 continue
             result = exchange_canonical(splice_block(rep, region, replacement))
@@ -1005,39 +995,23 @@ class DerivationBuilder:
     def prior(self, script: str, direction: str = "fwd", skip: int = 0):
         return self._find_and_apply(PriorEquality(script, direction), skip)
 
-    def unfold(self, name: str, skip: int = 0, **binding):
-        return self._find_and_apply(MacroUnfold(name, binding_key(binding)), skip)
-
-    def fold(self, name: str, skip: int = 0, **binding):
-        return self._find_and_apply(MacroFold(name, binding_key(binding)), skip)
-
-    def canonical(self):
-        result = exchange_canonical(self.current)
-        step = ProofStep(Canonical(), None, result)
-        self.current = apply_step(self.session, self.current, step)
-        self.steps.append(step)
-        return self
-
     def coherence(self, region: Region, replacement: Diagram):
         """Replace the pure-coherence block at ``region`` by ``replacement``."""
         c = exchange_canonical(self.current)
         spliced = None
         for rep, block in _blocks_at(c, region):
-            if not all(isinstance(l.gen, Coherence) for l in block.layers):
-                continue
-            if (block.source != replacement.source
-                    or block.target != replacement.target):
-                continue
-            spliced = splice_block(rep, region, replacement)
-            break
+            if (_pure_chi(block) and block.source == replacement.source
+                    and block.target == replacement.target):
+                spliced = splice_block(rep, region, replacement)
+                break
         if spliced is None:
             raise PatternNotFound(
                 f"{self.name}: no coherence block of that shape at {region}"
             )
         result = exchange_canonical(spliced)
         repl_c = exchange_canonical(replacement)
-        for _, cand, blk in _scan_regions(result, len(replacement.layers),
-                                          len(replacement.source)):
+        for _, cand, blk in _scan_regions(result, height=len(replacement.layers),
+                                          width=len(replacement.source)):
             if not isotopic(blk, repl_c):
                 continue
             step = ProofStep(FibCoherence(cand), region, result)
@@ -1096,15 +1070,6 @@ class DerivationBuilder:
                 return self
             _, region, nf, _ = best
             self.coherence(region, nf)
-
-    def coherence_collapse(self, region: Region):
-        """Replace the pure-coherence block at ``region`` by its normal form."""
-        for _, block in _blocks_at(self.current, region):
-            if all(isinstance(l.gen, Coherence) for l in block.layers):
-                return self.coherence(region, normalize_fib(block))
-        raise PatternNotFound(
-            f"{self.name}: no coherence-only block at {region}"
-        )
 
     def finish(self) -> ProofScript:
         if not isotopic(self.current, self.claim_rhs):

@@ -22,7 +22,9 @@ from strandcheck.descent import (
 from strandcheck.errors import PatternNotFound
 from strandcheck.rewrite import (
     Region,
+    _blocks_at,
     _isotopy_class,
+    _scan_regions,
     apply_step,
     extract_block,
     random_chi_diagram,
@@ -81,6 +83,50 @@ def test_fit_check_agrees_with_extraction_on_random_diagrams():
     for _ in range(15):
         d = random_chi_diagram(sig, rng, 4, 4)
         _assert_fit_check_agrees(_isotopy_class(d))
+
+
+def _scanned_regions(cls, n):
+    """Every region of height >= 1 in bounds in some word of the class, plus
+    one past each edge and one at a negative first layer and strand."""
+    tops = [max(word_widths(w, len(cls.source))[lo] for w in cls.words)
+            for lo in range(n + 1)]
+    for lo in range(-1, n + 1):
+        top = tops[max(lo, 0)]
+        for hi in range(lo + 1, n + 2):
+            for strand in range(-1, top + 2):
+                for width in range(top - strand + 2):
+                    region = Region(lo, hi, strand, width)
+                    inside = lo >= 0 and hi <= n and strand >= 0 and (
+                        strand + width <= top)
+                    yield region, inside
+
+
+def _assert_scanners_agree(d):
+    """The fixed-region scan equals the free scan filtered to the region."""
+    d = exchange_canonical(d)
+    free = {}
+    for rep, region, block in _scan_regions(d):
+        free.setdefault(region, []).append((rep, block))
+    for region, inside in _scanned_regions(_isotopy_class(d), len(d.layers)):
+        fixed = list(_blocks_at(d, region))
+        assert fixed == free.get(region, []), region
+        if not inside:
+            assert fixed == [], region
+
+
+def test_fixed_and_free_scans_agree_on_bundle_classes():
+    scripts = {s.name: s for s in bundled_scripts()}
+    for name, index in _SMALL_CLASSES:
+        script = scripts[name]
+        _assert_scanners_agree(
+            ([script.claim_lhs] + [s.result for s in script.steps])[index])
+
+
+def test_fixed_and_free_scans_agree_on_random_diagrams():
+    sig = signature_for(None)
+    rng = random.Random(9)
+    for _ in range(15):
+        _assert_scanners_agree(random_chi_diagram(sig, rng, 4, 4))
 
 
 def test_checking_a_step_walks_its_class_once(monkeypatch):

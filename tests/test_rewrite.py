@@ -479,6 +479,50 @@ def test_apply_step_region_must_be_pure_chi(sig, base):
                                          Region(0, 1, 0, 0), d))
 
 
+def test_apply_step_coherence_without_block(sig, base):
+    from strandcheck.rewrite import apply_step
+    d, _ = two_layer_stack(base)
+    step = ProofStep(FibCoherence(Region(0, 2, 0, 2)), Region(0, 3, 0, 2), d)
+    with pytest.raises(PatternNotFound, match="no block at"):
+        apply_step(CheckerSession(sig), d, step)
+
+
+def test_apply_step_coherence_result_mismatch(sig, base):
+    """The replacement fits the block, but splicing it leaves four layers
+    where the stated result has two."""
+    from strandcheck.rewrite import apply_step
+    d, _ = two_layer_stack(base)
+    step = ProofStep(FibCoherence(Region(0, 2, 0, 2)), Region(0, 2, 0, 2), d)
+    with pytest.raises(ResultMismatch, match="coherence replacement"):
+        apply_step(CheckerSession(sig), vcompose(d, d), step)
+
+
+def test_apply_step_canonical_not_isotopic(sig, base):
+    from strandcheck.rewrite import apply_step
+    d, _ = two_layer_stack(base)
+    step = ProofStep(Canonical(), None, identity_diagram(d.source))
+    with pytest.raises(ResultMismatch, match="not isotopic"):
+        apply_step(CheckerSession(sig), d, step)
+
+
+def test_apply_step_needs_position(sig, base):
+    from strandcheck.rewrite import apply_step
+    d, pt = two_layer_stack(base)
+    just = Rule("L1a", binding_key({"pt": pt}), "fwd")
+    step = ProofStep(just, None, identity_diagram(d.source))
+    with pytest.raises(PatternNotFound, match="step needs a position"):
+        apply_step(CheckerSession(sig), d, step)
+
+
+def test_apply_step_result_boundary_changed(sig, base):
+    from strandcheck.rewrite import apply_step
+    d, pt = two_layer_stack(base)
+    just = Rule("L1a", binding_key({"pt": pt}), "fwd")
+    step = ProofStep(just, Region(0, 2, 0, 2), single(Coherence(pt)))
+    with pytest.raises(BoundaryChanged, match="claim boundary"):
+        apply_step(CheckerSession(sig), d, step)
+
+
 def test_axiom_and_prior_availability(sig, base):
     from strandcheck.rewrite import apply_step
     d, pt = two_layer_stack(base)
@@ -568,7 +612,7 @@ def test_builder_coherence_collapse(sig, base):
     session = CheckerSession(sig)
     d, pt = two_layer_stack(base)
     builder = DerivationBuilder(session, "collapse", d, identity_diagram(d.source))
-    script = builder.coherence_collapse(Region(0, 2, 0, 2)).finish()
+    script = builder.coherence(Region(0, 2, 0, 2), normalize_fib(d)).finish()
     assert check_script(session, script).ok
 
 
@@ -579,8 +623,9 @@ def test_builder_canonical_step(sig, base):
     l1 = Layer(identity_cells(ef), Unit(f), identity_cells(ef))
     l2 = Layer(identity_cells(ef), Unit(f), l1.boundary()[1])
     d = from_layers([l1, l2])
-    builder = DerivationBuilder(session, "canon", d, exchange_canonical(d))
-    script = builder.canonical().finish()
+    result = exchange_canonical(d)
+    script = ProofScript("canon", sig, d, result,
+                         [ProofStep(Canonical(), None, result)])
     assert check_script(session, script).ok
 
 
