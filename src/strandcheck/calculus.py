@@ -3,10 +3,16 @@
 A two-cell is a ``Diagram``: an ordered list of layers read top to bottom,
 each layer a single generator flanked by identity whiskers. Planar isotopy
 is modelled by exchange moves (sliding generators past each other on
-disjoint strands); ``exchange_canonical`` returns the least presentation
-reachable from a diagram by such moves. The moves are not symmetric (see
-``_swap_compact``), so that form can depend on the presentation it starts
-from, and on which diagrams were canonicalized first in the process.
+disjoint strands), which ``exchanges`` enumerates under both branches of
+``_swap_branches``; the relation they generate is symmetric, and
+``isotopic`` decides it by a search between the two presentations.
+
+``exchange_canonical`` returns the least presentation reachable from a
+diagram by first-branch moves only. That walk is one-way, so the form can
+depend on the presentation it starts from and on which diagrams were
+canonicalized first in the process. Canonical forms serve only
+``hcompose``, the confluence probe and the bundle authoring tool; no
+proof step is checked through them.
 
 Token order convention: in a one-cell string the leftmost token is the first
 applied. ``star_lift`` therefore reverses a base path, ``shriek_lift``
@@ -565,22 +571,24 @@ def _gen_id(gen) -> int:
     return gid
 
 
-def _swap_compact(i1, i2):
-    """The exchange move on adjacent layers ``i1`` over ``i2``, or None.
+def _swap_branches(i1, i2) -> tuple:
+    """Every exchange move of adjacent layers ``i1`` over ``i2``: 0, 1 or 2.
 
-    When the upper cell has no outputs, the lower has no inputs and both
-    sit at one offset, both branches apply; the first always wins, which
-    puts the lower cell on the left, so the move back may not exist.
+    The lower cell slides up past the upper one on its left or on its
+    right. Both apply only when the upper cell has no outputs, the lower
+    has no inputs and both sit at one offset; then the lower cell may end
+    up on either side. Each branch is undone by the other one's move, so
+    exchange under both branches is symmetric.
     """
     g1, a = i1
     g2, c = i2
     s1, t1 = _GEN_W[g1]
     s2, t2 = _GEN_W[g2]
-    if c + s2 <= a:
-        return (g2, c), (g1, a - s2 + t2)
-    if c >= a + t1:
-        return (g2, c - t1 + s1), (g1, a)
-    return None
+    left = ((g2, c), (g1, a - s2 + t2)) if c + s2 <= a else None
+    right = ((g2, c - t1 + s1), (g1, a)) if c >= a + t1 else None
+    if left is None:
+        return () if right is None else (right,)
+    return (left,) if right is None or right == left else (left, right)
 
 
 def compact_word(layers: tuple[Layer, ...]) -> tuple:
@@ -588,22 +596,32 @@ def compact_word(layers: tuple[Layer, ...]) -> tuple:
 
 
 def class_words(word: tuple) -> list:
-    """All exchange-reachable words, in breadth-first discovery order."""
+    """Every word reachable under the first branch of each exchange move,
+    in breadth-first discovery order. This one-way walk is what canonical
+    forms are taken over (see ``_canonical_layers``)."""
     seen = {word}
     order = [word]
     frontier = deque([word])
     while frontier:
         cur = frontier.popleft()
         for i in range(len(cur) - 1):
-            sw = _swap_compact(cur[i], cur[i + 1])
-            if sw is None:
+            sw = _swap_branches(cur[i], cur[i + 1])
+            if not sw:
                 continue
-            nxt = cur[:i] + sw + cur[i + 2 :]
+            nxt = cur[:i] + sw[0] + cur[i + 2 :]
             if nxt not in seen:
                 seen.add(nxt)
                 order.append(nxt)
                 frontier.append(nxt)
     return order
+
+
+def exchanges(word: tuple):
+    """Every word one exchange move from ``word`` under both branches,
+    pair by pair from the left of the word."""
+    for i in range(len(word) - 1):
+        for sw in _swap_branches(word[i], word[i + 1]):
+            yield word[:i] + sw + word[i + 2 :]
 
 
 def expand_word(source: OneCellPath, word: tuple) -> tuple[Layer, ...]:
@@ -711,12 +729,14 @@ def _canonical_layers(layers: tuple[Layer, ...], memo: dict) -> tuple[Layer, ...
     generator sitting at the edge of a deletion interval can slide through
     the deletion, which changes which other layers it overlaps, so the set
     of layers movable to the top depends on the chosen presentation. The
-    exchange moves are not symmetric (``_swap_compact``), so the words
-    reached, and their key-sequence minimum, can depend on the start word.
-    The class comes from the class table, so it is walked once per start
-    word however many callers need it, and every visited presentation is
-    memoized to this walk's result: the first walk that visits a word fixes
-    its canonical form for the rest of the process.
+    walk (``class_words``) takes only the first branch of each move, so the
+    words reached, and their key-sequence minimum, can depend on the start
+    word. The class comes from the class table, so it is walked once per
+    start word however many callers need it, and every visited presentation
+    is memoized to this walk's result: the first walk that visits a word
+    fixes its canonical form for the rest of the process. Only ``hcompose``,
+    the confluence probe and the bundle authoring tool use these forms;
+    proof checking decides isotopy with ``isotopic``.
     """
     if not layers:
         return ()
@@ -748,7 +768,34 @@ def exchange_canonical(d: Diagram) -> Diagram:
 
 
 def isotopic(d1: Diagram, d2: Diagram) -> bool:
-    """Boundary equality plus structural equality of canonical forms."""
+    """Whether two diagrams are presentations of one exchange class.
+
+    Exchange keeps the boundary and the multiset of generators, so those
+    are compared first. Then a breadth-first search runs from both words
+    at once over ``exchanges``, always growing the smaller frontier, until
+    the two meet or one side has no word left to visit. The relation is
+    symmetric and nothing is memoized, so the answer depends on neither
+    the argument order nor what the process searched before.
+    """
     if d1.source != d2.source or d1.target != d2.target:
         return False
-    return exchange_canonical(d1) == exchange_canonical(d2)
+    w1, w2 = compact_word(d1.layers), compact_word(d2.layers)
+    if w1 == w2:
+        return True
+    if sorted(g for g, _ in w1) != sorted(g for g, _ in w2):
+        return False
+    near, far = [w1], [w2]
+    near_seen, far_seen = {w1}, {w2}
+    while near and far:
+        if len(near) > len(far):
+            near, far, near_seen, far_seen = far, near, far_seen, near_seen
+        grown = []
+        for word in near:
+            for nxt in exchanges(word):
+                if nxt in far_seen:
+                    return True
+                if nxt not in near_seen:
+                    near_seen.add(nxt)
+                    grown.append(nxt)
+        near = grown
+    return False

@@ -6,11 +6,14 @@ comparison-cell invertibility) together with three derived rules
 (coherence invertibility, generalized whiskering, horizontal pasting).
 Proof scripts rewrite a claim's left-hand side step by step into its
 right-hand side. One kernel, ``apply_step``, checks every positioned
-step: the one region scanner ``_scan_regions`` resolves the position
-(``_blocks_at`` fixes all four region fields), each block found is
-compared with the pattern, the replacement is spliced in between the
-strings ``extract_block`` cut beside the block, and the outcome is
-compared with the stated result, all modulo exchange of layers only.
+step: ``_blocks_at`` resolves the position by a breadth-first search over
+exchange from the diagram as stated, each block found is compared with
+the pattern, the replacement is spliced in between the strings
+``extract_block`` cut beside the block, and the outcome is compared with
+the stated result with ``isotopic``, all modulo exchange of layers only.
+No step is checked through a canonical form. The region scanner
+``_scan_regions``, which walks canonical classes, serves only the
+authoring tool ``DerivationBuilder``.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ from .calculus import (
     concat_cells,
     exchange_canonical,
     exchange_class,
+    exchanges,
+    expand_word,
     fiber,
     from_layers,
     identity_cells,
@@ -457,12 +462,16 @@ def _isotopy_class(d: Diagram):
     return exchange_class(d.source, d.target, compact_word(d.layers))
 
 
-def oriented_successors(d: Diagram) -> set[Diagram]:
-    """All one-step oriented rewrites modulo isotopy, canonicalized."""
-    out = set()
+def oriented_successors(d: Diagram) -> dict[Diagram, None]:
+    """All one-step oriented rewrites modulo isotopy, canonicalized.
+
+    The keys are in discovery order, so the exploration that queues them
+    does not depend on the process's string-hash seed.
+    """
+    out = {}
     for rep in _isotopy_class(d):
         for nxt in _oriented_successors_one(rep):
-            out.add(exchange_canonical(nxt))
+            out[exchange_canonical(nxt)] = None
     return out
 
 
@@ -508,7 +517,8 @@ def normal_forms(d: Diagram, limit: int = 10000) -> set[Diagram]:
         if len(seen) > limit:
             raise RuntimeError("rewrite state space exceeded the exploration limit")
         cur = frontier.popleft()
-        succs = {absorb_closure(nxt) for nxt in oriented_successors(cur)}
+        succs = dict.fromkeys(absorb_closure(nxt)
+                              for nxt in oriented_successors(cur))
         if not succs:
             terminals.add(cur)
             continue
@@ -635,7 +645,8 @@ def confluence_probe(sig: Signature, size: tuple[int, int] = (5, 4),
 
 @dataclass(frozen=True)
 class Region:
-    """A contiguous sub-block location inside a canonical layer sequence.
+    """A contiguous sub-block location in some presentation reachable by
+    exchange from the diagram as stated.
 
     Layers ``lo..hi`` (half-open) with the block's strand interval starting
     at ``strand`` and spanning ``width`` tokens at its top boundary.
@@ -800,35 +811,33 @@ class CheckerSession:
         return lhs, rhs
 
 
-def _scan_regions(d: Diagram, lo: Optional[int] = None,
-                  height: Optional[int] = None, strand: Optional[int] = None,
+def _scan_regions(d: Diagram, height: Optional[int] = None,
                   width: Optional[int] = None, coherence_only: bool = False):
     """(representative, region, block) for every region that extracts cleanly.
 
-    Scans every presentation of ``d``'s isotopy class in class order from
-    the canonical form; in each, layer ranges top to bottom (shorter
-    first), then strands left to right (narrower first). ``lo``,
-    ``height``, ``strand`` and ``width`` fix the region's first layer,
-    layer count, first strand and strand count; None leaves them free.
-    With ``coherence_only`` only ranges of coherence layers are scanned.
-    Regions are tried on compact words with ``region_misfit``, the one
-    rule of fit, so a presentation is expanded only once a region fits.
+    The authoring tool's scanner; proof checking resolves positions with
+    ``_blocks_at``. Scans every presentation of ``d``'s isotopy class in
+    class order from the canonical form; in each, layer ranges top to
+    bottom (shorter first), then strands left to right (narrower first).
+    ``height`` and ``width`` fix the region's layer count and strand
+    count; None leaves them free. With ``coherence_only`` only ranges of
+    coherence layers are scanned. Regions are tried on compact words with
+    ``region_misfit``, the one rule of fit, so a presentation is expanded
+    only once a region fits.
     """
     cls = _isotopy_class(exchange_canonical(d))
     top_width, n_l = len(d.source), len(d.layers)  # every word has n_l layers
-    spans = [(l, l + h) for l in _sizes(lo, 0, n_l)
+    spans = [(l, l + h) for l in range(n_l + 1)
              for h in _sizes(height, 1, n_l - l)]
     for i, word in enumerate(cls.words):
-        widths = (word_widths(word, top_width)
-                  if strand is None or width is None else ())
+        widths = word_widths(word, top_width)
         for l, hi in spans:
             if coherence_only and not all(
                     isinstance(word_generator(g), Coherence)
                     for g, _ in word[l:hi]):
                 continue
-            # a fixed l outside the word is never an index
-            room = widths[l] if 0 <= l < len(widths) else -1
-            for s in _sizes(strand, 0, room):
+            room = widths[l]
+            for s in range(room + 1):
                 for w in _sizes(width, 0, room - s):
                     if region_misfit(word, top_width, l, hi, s, w) is None:
                         rep = cls.presentation(i)
@@ -846,11 +855,28 @@ def _blocks_at(d: Diagram, region: Region):
     """(representative, block) pairs where the region extracts cleanly.
 
     A position names a contiguous sub-block in some presentation of the
-    diagram's exchange class; this is the scanner with every field fixed.
+    diagram's exchange class. The presentations are searched breadth-first
+    over ``exchanges`` from ``d``'s own word, lazily, so a caller that
+    stops at the first block it can use walks no further. A word is
+    expanded to layers only once ``region_misfit`` lets the region fit.
     """
-    for rep, _, block in _scan_regions(d, region.lo, region.hi - region.lo,
-                                       region.strand, region.width):
-        yield rep, block
+    top_width = len(d.source)
+    start = compact_word(d.layers)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        grown = []
+        for word in frontier:
+            if region_misfit(word, top_width, region.lo, region.hi,
+                             region.strand, region.width) is None:
+                rep = Diagram(d.source, d.target, expand_word(d.source, word))
+                block, _ = extract_block(rep, region)
+                yield rep, block
+            for nxt in exchanges(word):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    grown.append(nxt)
+        frontier = grown
 
 
 def _pure_chi(d: Diagram) -> bool:
@@ -867,12 +893,11 @@ def apply_step(session: CheckerSession, d: Diagram, step: ProofStep) -> Diagram:
     result. A coherence step's replacements are the coherence-only blocks
     of the stated result at the step's result region.
     """
-    c = exchange_canonical(d)
     if step.result.source != d.source or step.result.target != d.target:
         raise BoundaryChanged("step result changed the claim boundary")
     just = step.justification
     if isinstance(just, Canonical):
-        if not isotopic(c, step.result):
+        if not isotopic(d, step.result):
             raise ResultMismatch("canonical step result is not isotopic to the diagram")
         return step.result
     if step.region is None:
@@ -883,13 +908,12 @@ def apply_step(session: CheckerSession, d: Diagram, step: ProofStep) -> Diagram:
         matches = _pure_chi
     else:
         pattern, replacement = session.pattern_pair(just)
-        pattern = exchange_canonical(pattern)
         replacements = [replacement]
 
         def matches(block):
             return isotopic(block, pattern)
     extracted = matched = False
-    for rep, block in _blocks_at(c, step.region):
+    for rep, block in _blocks_at(d, step.region):
         extracted = True
         if not matches(block):
             continue

@@ -1,4 +1,4 @@
-"""Layer-level adjacent exchange, the test oracle for exchange canonicalization.
+"""Layer-level adjacent exchange, the test oracle for exchange and isotopy.
 
 It works on full layers with their whisker paths, independently of the
 compact (generator id, offset) words the library searches.
@@ -9,33 +9,61 @@ from typing import Optional
 from strandcheck.calculus import Layer, slice_cells
 
 
-def swap_adjacent(l1: Layer, l2: Layer) -> Optional[tuple[Layer, Layer]]:
-    """Swap two adjacent layers if their strand intervals are disjoint.
+def swap_branches(l1: Layer, l2: Layer) -> list[tuple[Layer, Layer]]:
+    """Every way to swap two adjacent layers with disjoint strand intervals.
 
-    ``l1`` sits above ``l2``; the returned pair is (new upper, new lower)
-    after sliding ``l2`` above ``l1``. ``None`` if the generators interact.
+    ``l1`` sits above ``l2``; each pair returned is (new upper, new lower)
+    after sliding ``l2`` above ``l1``, past its left or its right side.
+    Both sides are open only to a cell with no inputs under a cell with no
+    outputs at the same offset. Empty if the generators interact.
     """
     a, (s1, t1) = l1.offset, l1.gen_widths()
     c, (s2, t2) = l2.offset, l2.gen_widths()
     pre = l1.boundary()[0]
+    offsets = []
     if c + s2 <= a:
-        new_upper_off, new_lower_off = c, a - s2 + t2
-    elif c >= a + t1:
-        new_upper_off, new_lower_off = c - t1 + s1, a
-    else:
-        return None
-    up = Layer(
-        slice_cells(pre, 0, new_upper_off),
-        l2.gen,
-        slice_cells(pre, new_upper_off + s2),
-    )
-    mid = up.boundary()[1]
-    low = Layer(
-        slice_cells(mid, 0, new_lower_off),
-        l1.gen,
-        slice_cells(mid, new_lower_off + s1),
-    )
-    return up, low
+        offsets.append((c, a - s2 + t2))
+    if c >= a + t1:
+        offsets.append((c - t1 + s1, a))
+    out = []
+    for new_upper_off, new_lower_off in offsets:
+        up = Layer(
+            slice_cells(pre, 0, new_upper_off),
+            l2.gen,
+            slice_cells(pre, new_upper_off + s2),
+        )
+        mid = up.boundary()[1]
+        low = Layer(
+            slice_cells(mid, 0, new_lower_off),
+            l1.gen,
+            slice_cells(mid, new_lower_off + s1),
+        )
+        if (up, low) not in out:
+            out.append((up, low))
+    return out
+
+
+def swap_adjacent(l1: Layer, l2: Layer) -> Optional[tuple[Layer, Layer]]:
+    """The first branch of ``swap_branches``, the one canonical forms walk,
+    or ``None`` if the generators interact."""
+    branches = swap_branches(l1, l2)
+    return branches[0] if branches else None
+
+
+def symmetric_closure(d) -> set:
+    """The layer sequences of every presentation of ``d`` reachable by
+    swaps under both branches."""
+    seen = {d.layers}
+    frontier = [d.layers]
+    while frontier:
+        cur = frontier.pop()
+        for i in range(len(cur) - 1):
+            for sw in swap_branches(cur[i], cur[i + 1]):
+                nxt = cur[:i] + sw + cur[i + 2 :]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return seen
 
 
 def region_fits(d, lo: int, hi: int, strand: int, width: int) -> bool:

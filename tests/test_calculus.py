@@ -1,11 +1,13 @@
-"""Layered diagrams, generator boundaries and exchange canonicalization."""
+"""Layered diagrams, generator boundaries, canonical forms and isotopy."""
 
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strandcheck import calculus
 from strandcheck.base import (
     BasePresentation,
     PolygonType,
@@ -42,9 +44,11 @@ from strandcheck.calculus import (
     vcompose,
     whisker,
 )
+from strandcheck.descent import signature_for
 from strandcheck.errors import BoundaryMismatch, NonComposable
+from strandcheck.rewrite import random_chi_diagram
 
-from exchange_oracle import swap_adjacent
+from exchange_oracle import swap_adjacent, symmetric_closure
 
 
 @pytest.fixture
@@ -283,6 +287,31 @@ def test_canonical_stable_under_shuffling_property(n_layers, seed):
     d = _random_chi_stack(b, rng, n_layers)
     for ls in _bfs_isotopy_class(d):
         assert exchange_canonical(Diagram(d.source, d.target, ls)) == exchange_canonical(d)
+
+
+def test_isotopic_is_reachability_under_both_branches(monkeypatch):
+    """``isotopic`` agrees with the layer-level closure under both swap
+    branches on every ordered pair of equal-boundary diagrams of a pool, in
+    fresh tables; some isotopic pairs are out of the one-way walk's reach."""
+    monkeypatch.setattr(calculus, "_CLASS_TABLE", {})
+    monkeypatch.setattr(calculus, "_CANON_MEMO", {})
+    sig = signature_for(None)
+    rng, pick = random.Random(6), random.Random(0)
+    groups = defaultdict(list)
+    for _ in range(30):
+        d = random_chi_diagram(sig, rng, 6, 4)
+        others = sorted(symmetric_closure(d) - {d.layers}, key=repr)
+        for layers in [d.layers, *pick.sample(others, min(3, len(others)))]:
+            groups[(d.source, d.target)].append(
+                Diagram(d.source, d.target, layers))
+    second_branch = 0
+    for group in groups.values():
+        for x in group:
+            closure, one_way = symmetric_closure(x), _bfs_isotopy_class(x)
+            for y in group:
+                assert isotopic(x, y) == (y.layers in closure), (x, y)
+                second_branch += y.layers in closure - one_way
+    assert second_branch > 0
 
 
 def test_hcompose_interchange(base):

@@ -1,12 +1,22 @@
 """The command-line front end: commands, flags, exit codes."""
 
 import json
+import random
 
 import pytest
 
+from strandcheck import calculus
+from strandcheck.calculus import Diagram
 from strandcheck.cli import main
-from strandcheck.descent import _Names, builtin_descent_base
-from strandcheck.parser import format_base_block
+from strandcheck.descent import _Names, builtin_descent_base, signature_for
+from strandcheck.parser import (
+    format_base_block,
+    format_script_file,
+    script_file_for,
+)
+from strandcheck.rewrite import ProofScript, random_chi_diagram
+
+from exchange_oracle import symmetric_closure
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +58,40 @@ def test_check_corrupted_step_exits_1(bundle_dir, tmp_path, capsys):
     assert main(["check", str(bad)]) == 1
     out = capsys.readouterr().out
     assert "Failed at step" in out
+
+
+# A reordering of the 7th diagram drawn below that the one-way walk of
+# canonical forms reaches from it but cannot leave again: the 0->0 cell
+# slides past the 0->2 cell only on its left.
+_REORDERED = ("[<E_B> | chi(delta;f1 => id(B)) | f1*.delta*]; "
+              "[<E_B> | chi(delta;f1 => id(B)) | <E_B>]; "
+              "[<E_B> | chi(id(B) => id(B)) | <E_B>]; "
+              "[<E_B> | chi(id(B) => delta;f1) | <E_B>]")
+
+
+def test_check_isotopy_claims_in_either_direction(tmp_path, capsys,
+                                                  monkeypatch):
+    """A zero-step claim between two presentations of one diagram is
+    Verified whichever side it states first, alone or after the other."""
+    sig = signature_for(None)
+    rng = random.Random(6)
+    d0 = [random_chi_diagram(sig, rng, 6, 4) for _ in range(7)][-1]
+    d1 = next(Diagram(d0.source, d0.target, layers)
+              for layers in symmetric_closure(d0)
+              if "; ".join(map(repr, layers)) == _REORDERED)
+    forward = ProofScript("forward", sig, d0, d1, [])
+    backward = ProofScript("backward", sig, d1, d0, [])
+    for scripts in ([forward], [backward], [forward, backward],
+                    [backward, forward]):
+        path = tmp_path / ("_".join(s.name for s in scripts) + ".strand")
+        path.write_text(format_script_file(script_file_for(scripts)),
+                        encoding="utf-8")
+        # a fresh process's tables: a verdict must not hang on them
+        monkeypatch.setattr(calculus, "_CLASS_TABLE", {})
+        monkeypatch.setattr(calculus, "_CANON_MEMO", {})
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{s.name}: Verified" for s in scripts]
 
 
 def test_check_malformed_header_exits_2(tmp_path, capsys):

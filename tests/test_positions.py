@@ -1,12 +1,13 @@
-"""Step positions resolved on compact words, and the shared class table."""
+"""Step positions resolved on compact words by a search over exchange."""
 
 import random
 from importlib.resources import files
 
 import pytest
 
-from strandcheck import calculus
+from strandcheck import calculus, rewrite
 from strandcheck.calculus import (
+    Diagram,
     compact_word,
     exchange_canonical,
     region_misfit,
@@ -24,13 +25,12 @@ from strandcheck.rewrite import (
     Region,
     _blocks_at,
     _isotopy_class,
-    _scan_regions,
-    apply_step,
+    check_script,
     extract_block,
     random_chi_diagram,
 )
 
-from exchange_oracle import region_fits
+from exchange_oracle import region_fits, symmetric_closure
 
 
 def _regions(d):
@@ -85,10 +85,10 @@ def test_fit_check_agrees_with_extraction_on_random_diagrams():
         _assert_fit_check_agrees(_isotopy_class(d))
 
 
-def _scanned_regions(cls, n):
-    """Every region of height >= 1 in bounds in some word of the class, plus
-    one past each edge and one at a negative first layer and strand."""
-    tops = [max(word_widths(w, len(cls.source))[lo] for w in cls.words)
+def _closure_regions(closure, top_width, n):
+    """Every region of height >= 1 in bounds in some presentation, plus one
+    past each edge and one at a negative first layer and strand."""
+    tops = [max(word_widths(compact_word(ls), top_width)[lo] for ls in closure)
             for lo in range(n + 1)]
     for lo in range(-1, n + 1):
         top = tops[max(lo, 0)]
@@ -101,53 +101,74 @@ def _scanned_regions(cls, n):
                     yield region, inside
 
 
-def _assert_scanners_agree(d):
-    """The fixed-region scan equals the free scan filtered to the region."""
-    d = exchange_canonical(d)
-    free = {}
-    for rep, region, block in _scan_regions(d):
-        free.setdefault(region, []).append((rep, block))
-    for region, inside in _scanned_regions(_isotopy_class(d), len(d.layers)):
-        fixed = list(_blocks_at(d, region))
-        assert fixed == free.get(region, []), region
+def _assert_blocks_at_contract(d):
+    """``_blocks_at`` yields each presentation of the symmetric closure of
+    ``d`` where the region fits, once, ``d`` first when it fits there, and
+    so every one the one-way walk of the canonical class found."""
+    closure = [Diagram(d.source, d.target, ls) for ls in symmetric_closure(d)]
+    one_way = _isotopy_class(exchange_canonical(d)).words
+    for region, inside in _closure_regions([p.layers for p in closure],
+                                           len(d.source), len(d.layers)):
+        fields = (region.lo, region.hi, region.strand, region.width)
+        found = list(_blocks_at(d, region))
+        reps = [rep.layers for rep, _ in found]
+        assert len(reps) == len(set(reps)), region
+        assert set(reps) == {p.layers for p in closure
+                             if region_fits(p, *fields)}, region
+        if region_fits(d, *fields):
+            assert found[0][0] == d, region
+        words = {compact_word(ls) for ls in reps}
+        assert all(w in words for w in one_way
+                   if region_misfit(w, len(d.source), *fields) is None), region
+        for rep, block in found:
+            assert block == extract_block(rep, region)[0]
         if not inside:
-            assert fixed == [], region
+            assert found == [], region
 
 
-def test_fixed_and_free_scans_agree_on_bundle_classes():
+def test_blocks_at_searches_the_symmetric_class_of_bundle_diagrams():
     scripts = {s.name: s for s in bundled_scripts()}
     for name, index in _SMALL_CLASSES:
         script = scripts[name]
-        _assert_scanners_agree(
+        _assert_blocks_at_contract(
             ([script.claim_lhs] + [s.result for s in script.steps])[index])
 
 
-def test_fixed_and_free_scans_agree_on_random_diagrams():
+def test_blocks_at_searches_the_symmetric_class_of_random_diagrams():
     sig = signature_for(None)
     rng = random.Random(9)
     for _ in range(15):
-        _assert_scanners_agree(random_chi_diagram(sig, rng, 4, 4))
+        _assert_blocks_at_contract(random_chi_diagram(sig, rng, 4, 4))
 
 
-def test_checking_a_step_walks_its_class_once(monkeypatch):
-    """The class canonicalization walks is the one the position search reads."""
+def test_checking_walks_no_class(monkeypatch):
+    """Checking every bundled script neither walks an exchange class nor
+    takes a canonical form."""
+    walks, canonical = [], []
     class_words = calculus.class_words
-    walked = []
+    exchange_canonical_ = calculus.exchange_canonical
 
     def counting_class_words(word):
-        walked.append(word)
+        walks.append(word)
         return class_words(word)
 
+    def counting_canonical(d):
+        canonical.append(d)
+        return exchange_canonical_(d)
+
     monkeypatch.setattr(calculus, "class_words", counting_class_words)
+    for module in (calculus, rewrite):
+        monkeypatch.setattr(module, "exchange_canonical", counting_canonical)
     monkeypatch.setattr(calculus, "_CLASS_TABLE", {})
     monkeypatch.setattr(calculus, "_CANON_MEMO", {})
-    script = next(s for s in bundled_scripts() if s.name == "mu_trans")
-    d = script.steps[1].result
-    apply_step(session_for(script.signature), d, script.steps[2])
-    same_class = set(class_words(compact_word(d.layers)))
-    assert len(same_class) == 780
-    assert sum(w in same_class for w in walked) == 1
-    assert exchange_canonical(d) == d
+    scripts = bundled_scripts()
+    assert len(scripts) == 13
+    sessions = {}
+    for script in scripts:
+        sig = script.signature
+        session = sessions.setdefault(sig.extension, session_for(sig))
+        assert check_script(session, script).ok, script.name
+    assert walks == [] and canonical == []
 
 
 # mu_trans step 6 with its first layer shifted by one: the slowest

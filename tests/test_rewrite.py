@@ -1,11 +1,16 @@
 """Rewrite rules, macros, normalization, oriented rewriting and the checker."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import strandcheck
 from strandcheck import rewrite
 from strandcheck.base import (
     BasePresentation,
@@ -392,6 +397,39 @@ def test_confluence_probe_smoke(sig):
     rep = confluence_probe(sig, size=(4, 3), samples=60, seed=1)
     assert rep.ok
     assert rep.stats == {"samples": 60, "violations": 0}
+
+
+# Runs the probe with ``class_words`` recorded and prints a digest of the
+# sequence of words it was called on.
+_RECORD_PROBE_WALKS = """
+import hashlib, io, contextlib
+from strandcheck import calculus
+from strandcheck.cli import main
+walks = []
+class_words = calculus.class_words
+def recording(word):
+    walks.append(word)
+    return class_words(word)
+calculus.class_words = recording
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["probe-confluence", "--samples", "100", "--seed", "1"]) == 0
+print(len(walks), hashlib.sha256(repr(walks).encode()).hexdigest())
+"""
+
+
+def test_probe_walks_do_not_depend_on_the_hash_seed():
+    """The probe walks the same classes in the same order whatever the
+    string-hash seed of the process."""
+    src = str(Path(strandcheck.__file__).resolve().parents[1])
+    digests = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        out = subprocess.run([sys.executable, "-c", _RECORD_PROBE_WALKS],
+                             env=env, capture_output=True, text=True,
+                             check=True, timeout=120)
+        digests.append(out.stdout)
+    assert int(digests[0].split()[0]) > 0
+    assert digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------
