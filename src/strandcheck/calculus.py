@@ -8,9 +8,11 @@ disjoint strands), which ``exchanges`` enumerates under both branches of
 ``isotopic`` decides it by a search between the two presentations.
 
 ``exchange_canonical`` returns the least presentation reachable from a
-diagram by first-branch moves only. That walk is one-way, so the form can
-depend on the presentation it starts from and on which diagrams were
-canonicalized first in the process. Canonical forms serve only
+diagram by first-branch moves only (``class_words``). That walk is
+one-way, so the form can depend on the presentation it starts from and on
+which diagrams were canonicalized first in the process: ``_CANON_MEMO``
+maps every word a walk visits to that walk's result. No class is kept;
+each caller walks ``class_words`` afresh. Canonical forms serve only
 ``hcompose``, the confluence probe and the bundle authoring tool; no
 proof step is checked through them.
 
@@ -439,10 +441,13 @@ class Layer:
     right: OneCellPath
 
     def __post_init__(self):
-        # compute and cache the whiskered boundary; malformed layers fail early
-        gs, gt = generator_boundary(self.gen)
+        # intern the generator and cache the whiskered boundary; malformed
+        # layers fail early
+        gid = _gen_id(self.gen)
+        gs, gt = _GEN_LIST[gid][1]
         top = concat_cells(concat_cells(self.left, gs), self.right)
         bottom = concat_cells(concat_cells(self.left, gt), self.right)
+        object.__setattr__(self, "_gid", gid)
         object.__setattr__(self, "_boundary", (top, bottom))
 
     def boundary(self) -> tuple[OneCellPath, OneCellPath]:
@@ -453,8 +458,7 @@ class Layer:
         return len(self.left)
 
     def gen_widths(self) -> tuple[int, int]:
-        gs, gt = generator_boundary(self.gen)
-        return len(gs), len(gt)
+        return _GEN_W[self._gid]
 
     def __repr__(self):
         return f"[{self.left!r} | {self.gen!r} | {self.right!r}]"
@@ -592,13 +596,16 @@ def _swap_branches(i1, i2) -> tuple:
 
 
 def compact_word(layers: tuple[Layer, ...]) -> tuple:
-    return tuple((_gen_id(l.gen), l.offset) for l in layers)
+    return tuple((l._gid, l.offset) for l in layers)
 
 
 def class_words(word: tuple) -> list:
     """Every word reachable under the first branch of each exchange move,
-    in breadth-first discovery order. This one-way walk is what canonical
-    forms are taken over (see ``_canonical_layers``)."""
+    in breadth-first discovery order from ``word`` itself. This one-way
+    walk is what canonical forms are taken over (see
+    ``_canonical_layers``); the confluence probe and the authoring scanner
+    walk it too. Nothing is cached: the same start word always gives the
+    same words in the same order."""
     seen = {word}
     order = [word]
     frontier = deque([word])
@@ -675,53 +682,10 @@ def region_misfit(word: tuple, top_width: int, lo: int, hi: int,
     return None
 
 
-class ExchangeClass:
-    """One exchange class, walked once from a start word.
-
-    ``words`` lists every presentation as a compact word, in breadth-first
-    discovery order from the start word. ``presentation(i)`` expands the
-    ``i``-th word to a diagram on first use and keeps it, so callers can
-    rule words out on their offsets and expand only the ones they need.
-    """
-
-    def __init__(self, source: OneCellPath, target: OneCellPath, words: list):
-        self.source = source
-        self.target = target
-        self.words = words
-        self._expanded: dict = {}
-
-    def presentation(self, i: int) -> Diagram:
-        d = self._expanded.get(i)
-        if d is None:
-            d = self._expanded[i] = Diagram(
-                self.source, self.target, expand_word(self.source, self.words[i]))
-        return d
-
-    def __iter__(self):
-        for i in range(len(self.words)):
-            yield self.presentation(i)
+_CANON_MEMO: dict = {}
 
 
-# The class table: (source, start word) -> ExchangeClass. The start word
-# fixes the discovery order, so a class walked from another word is another
-# entry. The oldest entry is dropped once the table is full.
-_CLASS_TABLE: dict = {}
-_CLASS_TABLE_SIZE = 64
-
-
-def exchange_class(source: OneCellPath, target: OneCellPath,
-                   word: tuple) -> ExchangeClass:
-    """The exchange class of ``word`` under ``source``, walked on a table miss."""
-    key = (source, word)
-    hit = _CLASS_TABLE.get(key)
-    if hit is None:
-        if len(_CLASS_TABLE) >= _CLASS_TABLE_SIZE:
-            del _CLASS_TABLE[next(iter(_CLASS_TABLE))]
-        hit = _CLASS_TABLE[key] = ExchangeClass(source, target, class_words(word))
-    return hit
-
-
-def _canonical_layers(layers: tuple[Layer, ...], memo: dict) -> tuple[Layer, ...]:
+def _canonical_layers(layers: tuple[Layer, ...]) -> tuple[Layer, ...]:
     """Lexicographically minimal exchange-equivalent layer sequence.
 
     The minimum is taken over every presentation reachable by adjacent
@@ -731,10 +695,9 @@ def _canonical_layers(layers: tuple[Layer, ...], memo: dict) -> tuple[Layer, ...
     of layers movable to the top depends on the chosen presentation. The
     walk (``class_words``) takes only the first branch of each move, so the
     words reached, and their key-sequence minimum, can depend on the start
-    word. The class comes from the class table, so it is walked once per
-    start word however many callers need it, and every visited presentation
-    is memoized to this walk's result: the first walk that visits a word
-    fixes its canonical form for the rest of the process. Only ``hcompose``,
+    word. Every visited presentation is memoized in ``_CANON_MEMO`` to this
+    walk's result, so the first walk that visits a word fixes its
+    canonical form for the rest of the process. Only ``hcompose``,
     the confluence probe and the bundle authoring tool use these forms;
     proof checking decides isotopy with ``isotopic``.
     """
@@ -742,10 +705,10 @@ def _canonical_layers(layers: tuple[Layer, ...], memo: dict) -> tuple[Layer, ...
         return ()
     source = layers[0].boundary()[0]
     word = compact_word(layers)
-    cached = memo.get((source, word))
+    cached = _CANON_MEMO.get((source, word))
     if cached is not None:
         return cached
-    words = exchange_class(source, layers[-1].boundary()[1], word).words
+    words = class_words(word)
     genkeys = {}
     for g, _ in word:
         if g not in genkeys:
@@ -753,18 +716,15 @@ def _canonical_layers(layers: tuple[Layer, ...], memo: dict) -> tuple[Layer, ...
     best = min(words, key=lambda w: tuple((o, genkeys[g]) for g, o in w))
     result = expand_word(source, best)
     for w in words:
-        memo[(source, w)] = result
+        _CANON_MEMO[(source, w)] = result
     return result
-
-
-_CANON_MEMO: dict = {}
 
 
 def exchange_canonical(d: Diagram) -> Diagram:
     """The least presentation reachable from ``d`` (see ``_canonical_layers``)."""
     if len(_CANON_MEMO) > 400000:
         _CANON_MEMO.clear()
-    return Diagram(d.source, d.target, _canonical_layers(d.layers, _CANON_MEMO))
+    return Diagram(d.source, d.target, _canonical_layers(d.layers))
 
 
 def isotopic(d1: Diagram, d2: Diagram) -> bool:

@@ -253,6 +253,21 @@ def cmd_model_check(args) -> int:
     return EXIT_FAILED if failed else EXIT_OK
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than ``least``, so that an
+    out-of-range count is a usage error instead of an empty or crashed run."""
+
+    # argparse reports a ValueError raised here as "invalid integer value"
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
@@ -277,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify the full bundled theorem")
     p.add_argument("--skip-oracle", action="store_true",
                    help="syntactic check only")
-    p.add_argument("--instances", type=int, default=25,
+    p.add_argument("--instances", type=_at_least(0), default=25,
                    help="model instances per claim (0 skips the oracle)")
-    p.add_argument("--max-size", type=int, default=3,
+    p.add_argument("--max-size", type=_at_least(1), default=3,
                    help="largest carrier size sampled by the oracle")
     p.set_defaults(func=cmd_verify)
 
@@ -304,19 +319,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe-confluence", parents=[common],
                        help="unique-normal-form probe on random diagrams")
-    p.add_argument("--size", type=int, default=5,
+    p.add_argument("--size", type=_at_least(0), default=5,
                    help="maximum layers per sampled diagram")
-    p.add_argument("--arrows", type=int, default=4,
+    p.add_argument("--arrows", type=_at_least(0), default=4,
                    help="maximum base-path length")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_at_least(0), default=100)
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("model-check", parents=[common],
                        help="compare script claims in the finite-set model")
     p.add_argument("file")
-    p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--max-size", type=int, default=4)
-    p.add_argument("--max-fiber", type=int, default=3)
+    p.add_argument("--instances", type=_at_least(0), default=100)
+    p.add_argument("--max-size", type=_at_least(1), default=4)
+    p.add_argument("--max-fiber", type=_at_least(0), default=3)
     p.set_defaults(func=cmd_model_check)
     return top
 

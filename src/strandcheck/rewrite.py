@@ -11,9 +11,10 @@ exchange from the diagram as stated, each block found is compared with
 the pattern, the replacement is spliced in between the strings
 ``extract_block`` cut beside the block, and the outcome is compared with
 the stated result with ``isotopic``, all modulo exchange of layers only.
-No step is checked through a canonical form. The region scanner
-``_scan_regions``, which walks canonical classes, serves only the
-authoring tool ``DerivationBuilder``.
+No step is checked through a canonical form. The confluence probe
+(``oriented_successors``) and the region scanner ``_scan_regions``, which
+serves only the authoring tool ``DerivationBuilder``, walk one-way
+exchange classes with ``class_words``.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ from .calculus import (
     Star,
     Unit,
     cells,
+    class_words,
     compact_word,
     concat_cells,
     exchange_canonical,
-    exchange_class,
     exchanges,
     expand_word,
     fiber,
@@ -456,20 +457,17 @@ def _oriented_successors_one(d: Diagram):
                               layers[:i] + (merged,) + layers[i + 2 :])
 
 
-def _isotopy_class(d: Diagram):
-    """The exchange class of ``d`` from the shared class table, in
-    breadth-first order from ``d``'s own presentation."""
-    return exchange_class(d.source, d.target, compact_word(d.layers))
-
-
 def oriented_successors(d: Diagram) -> dict[Diagram, None]:
     """All one-step oriented rewrites modulo isotopy, canonicalized.
 
-    The keys are in discovery order, so the exploration that queues them
-    does not depend on the process's string-hash seed.
+    Every presentation of ``d``'s one-way class (``class_words`` from
+    ``d``'s own word) is expanded and rewritten once. The keys are in
+    discovery order, so the exploration that queues them does not depend
+    on the process's string-hash seed.
     """
     out = {}
-    for rep in _isotopy_class(d):
+    for word in class_words(compact_word(d.layers)):
+        rep = Diagram(d.source, d.target, expand_word(d.source, word))
         for nxt in _oriented_successors_one(rep):
             out[exchange_canonical(nxt)] = None
     return out
@@ -816,21 +814,23 @@ def _scan_regions(d: Diagram, height: Optional[int] = None,
     """(representative, region, block) for every region that extracts cleanly.
 
     The authoring tool's scanner; proof checking resolves positions with
-    ``_blocks_at``. Scans every presentation of ``d``'s isotopy class in
-    class order from the canonical form; in each, layer ranges top to
-    bottom (shorter first), then strands left to right (narrower first).
+    ``_blocks_at``. Scans every word of ``class_words`` from the canonical
+    form of ``d``, in walk order; in each, layer ranges top to bottom
+    (shorter first), then strands left to right (narrower first).
     ``height`` and ``width`` fix the region's layer count and strand
     count; None leaves them free. With ``coherence_only`` only ranges of
     coherence layers are scanned. Regions are tried on compact words with
-    ``region_misfit``, the one rule of fit, so a presentation is expanded
-    only once a region fits.
+    ``region_misfit``, the one rule of fit, so a word is expanded only
+    once a region fits, and at most once: every region of one presentation
+    shares one representative object.
     """
-    cls = _isotopy_class(exchange_canonical(d))
+    words = class_words(compact_word(exchange_canonical(d).layers))
     top_width, n_l = len(d.source), len(d.layers)  # every word has n_l layers
     spans = [(l, l + h) for l in range(n_l + 1)
              for h in _sizes(height, 1, n_l - l)]
-    for i, word in enumerate(cls.words):
+    for word in words:
         widths = word_widths(word, top_width)
+        rep = None
         for l, hi in spans:
             if coherence_only and not all(
                     isinstance(word_generator(g), Coherence)
@@ -840,7 +840,9 @@ def _scan_regions(d: Diagram, height: Optional[int] = None,
             for s in range(room + 1):
                 for w in _sizes(width, 0, room - s):
                     if region_misfit(word, top_width, l, hi, s, w) is None:
-                        rep = cls.presentation(i)
+                        if rep is None:
+                            rep = Diagram(d.source, d.target,
+                                          expand_word(d.source, word))
                         region = Region(l, hi, s, w)
                         block, _ = extract_block(rep, region)
                         yield rep, region, block

@@ -292,8 +292,7 @@ def test_canonical_stable_under_shuffling_property(n_layers, seed):
 def test_isotopic_is_reachability_under_both_branches(monkeypatch):
     """``isotopic`` agrees with the layer-level closure under both swap
     branches on every ordered pair of equal-boundary diagrams of a pool, in
-    fresh tables; some isotopic pairs are out of the one-way walk's reach."""
-    monkeypatch.setattr(calculus, "_CLASS_TABLE", {})
+    a fresh memo; some isotopic pairs are out of the one-way walk's reach."""
     monkeypatch.setattr(calculus, "_CANON_MEMO", {})
     sig = signature_for(None)
     rng, pick = random.Random(6), random.Random(0)

@@ -86,8 +86,7 @@ def test_check_isotopy_claims_in_either_direction(tmp_path, capsys,
         path = tmp_path / ("_".join(s.name for s in scripts) + ".strand")
         path.write_text(format_script_file(script_file_for(scripts)),
                         encoding="utf-8")
-        # a fresh process's tables: a verdict must not hang on them
-        monkeypatch.setattr(calculus, "_CLASS_TABLE", {})
+        # a fresh process's memo: a verdict must not hang on it
         monkeypatch.setattr(calculus, "_CANON_MEMO", {})
         assert main(["check", str(path)]) == 0
         assert capsys.readouterr().out.splitlines() == [
@@ -216,6 +215,27 @@ claim inner = outer
     assert main(["model-check", str(src), "--instances", "40",
                  "--max-size", "3", "--max-fiber", "2", "--seed", "1"]) == 1
     assert "Failed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [
+    ["probe-confluence", "--samples", "-1"],
+    ["probe-confluence", "--size", "-1"],
+    ["probe-confluence", "--arrows", "-1"],
+    ["model-check", "{dd}", "--instances", "-1"],
+    ["model-check", "{dd}", "--max-size", "0"],
+    ["model-check", "{dd}", "--max-fiber", "-1"],
+    ["verify-benabou-roubaud", "--instances", "-3"],
+    ["verify-benabou-roubaud", "--max-size", "0"],
+    ["verify-benabou-roubaud", "--max-size", "three"],
+])
+def test_out_of_range_counts_exit_2(args, bundle_dir, capsys):
+    """A count below its least value is a usage error: exit 2 with a usage
+    message, neither an empty Verified run nor a crash."""
+    argv = [a.format(dd=bundle_dir / "dd_bundle.strand") for a in args]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and "Traceback" not in captured.err
 
 
 def test_usage_errors_exit_2():

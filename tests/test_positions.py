@@ -8,8 +8,10 @@ import pytest
 from strandcheck import calculus, rewrite
 from strandcheck.calculus import (
     Diagram,
+    class_words,
     compact_word,
     exchange_canonical,
+    expand_word,
     region_misfit,
     word_widths,
 )
@@ -24,10 +26,10 @@ from strandcheck.errors import PatternNotFound
 from strandcheck.rewrite import (
     Region,
     _blocks_at,
-    _isotopy_class,
     check_script,
     extract_block,
     random_chi_diagram,
+    splice_block,
 )
 
 from exchange_oracle import region_fits, symmetric_closure
@@ -43,6 +45,12 @@ def _regions(d):
             for strand in range(-1, top + 2):
                 for width in range(top - strand + 2):
                     yield lo, hi, strand, width
+
+
+def _one_way_class(d):
+    """Every presentation the one-way walk reaches from ``d``, expanded."""
+    return [Diagram(d.source, d.target, expand_word(d.source, w))
+            for w in class_words(compact_word(d.layers))]
 
 
 def _assert_fit_check_agrees(cls):
@@ -72,8 +80,8 @@ def test_fit_check_agrees_with_extraction_on_bundle_classes():
     for name, index in _SMALL_CLASSES:
         script = scripts[name]
         d = ([script.claim_lhs] + [s.result for s in script.steps])[index]
-        cls = _isotopy_class(exchange_canonical(d))
-        assert 10 <= len(cls.words) <= 3000
+        cls = _one_way_class(exchange_canonical(d))
+        assert 10 <= len(cls) <= 3000
         _assert_fit_check_agrees(cls)
 
 
@@ -82,7 +90,28 @@ def test_fit_check_agrees_with_extraction_on_random_diagrams():
     rng = random.Random(9)
     for _ in range(15):
         d = random_chi_diagram(sig, rng, 4, 4)
-        _assert_fit_check_agrees(_isotopy_class(d))
+        _assert_fit_check_agrees(_one_way_class(d))
+
+
+def test_extract_then_splice_gives_back_every_bundle_diagram():
+    """Splicing the block cut at a region back in restores the diagram, at
+    every region that fits in every stated diagram of the bundle (claim
+    sides and step results), whose blocks hold every kind of generator."""
+    kinds, regions = set(), 0
+    for script in bundled_scripts():
+        for d in (script.claim_lhs, script.claim_rhs,
+                  *(step.result for step in script.steps)):
+            word = compact_word(d.layers)
+            for fields in _regions(d):
+                if region_misfit(word, len(d.source), *fields) is not None:
+                    continue
+                region = Region(*fields)
+                block, _ = extract_block(d, region)
+                assert splice_block(d, region, block) == d, (script.name, region)
+                kinds.update(type(layer.gen).__name__ for layer in block.layers)
+                regions += 1
+    assert kinds == {"Coherence", "Unit", "Counit", "SquareInv", "DescentCell"}
+    assert regions > 10000
 
 
 def _closure_regions(closure, top_width, n):
@@ -106,7 +135,7 @@ def _assert_blocks_at_contract(d):
     ``d`` where the region fits, once, ``d`` first when it fits there, and
     so every one the one-way walk of the canonical class found."""
     closure = [Diagram(d.source, d.target, ls) for ls in symmetric_closure(d)]
-    one_way = _isotopy_class(exchange_canonical(d)).words
+    one_way = class_words(compact_word(exchange_canonical(d).layers))
     for region, inside in _closure_regions([p.layers for p in closure],
                                            len(d.source), len(d.layers)):
         fields = (region.lo, region.hi, region.strand, region.width)
@@ -145,21 +174,20 @@ def test_checking_walks_no_class(monkeypatch):
     """Checking every bundled script neither walks an exchange class nor
     takes a canonical form."""
     walks, canonical = [], []
-    class_words = calculus.class_words
+    class_words_ = calculus.class_words
     exchange_canonical_ = calculus.exchange_canonical
 
     def counting_class_words(word):
         walks.append(word)
-        return class_words(word)
+        return class_words_(word)
 
     def counting_canonical(d):
         canonical.append(d)
         return exchange_canonical_(d)
 
-    monkeypatch.setattr(calculus, "class_words", counting_class_words)
     for module in (calculus, rewrite):
+        monkeypatch.setattr(module, "class_words", counting_class_words)
         monkeypatch.setattr(module, "exchange_canonical", counting_canonical)
-    monkeypatch.setattr(calculus, "_CLASS_TABLE", {})
     monkeypatch.setattr(calculus, "_CANON_MEMO", {})
     scripts = bundled_scripts()
     assert len(scripts) == 13

@@ -403,14 +403,14 @@ def test_confluence_probe_smoke(sig):
 # sequence of words it was called on.
 _RECORD_PROBE_WALKS = """
 import hashlib, io, contextlib
-from strandcheck import calculus
+from strandcheck import calculus, rewrite
 from strandcheck.cli import main
 walks = []
 class_words = calculus.class_words
 def recording(word):
     walks.append(word)
     return class_words(word)
-calculus.class_words = recording
+calculus.class_words = rewrite.class_words = recording
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["probe-confluence", "--samples", "100", "--seed", "1"]) == 0
 print(len(walks), hashlib.sha256(repr(walks).encode()).hexdigest())
