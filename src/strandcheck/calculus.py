@@ -7,14 +7,11 @@ disjoint strands), which ``exchanges`` enumerates under both branches of
 ``_swap_branches``; the relation they generate is symmetric, and
 ``isotopic`` decides it by a search between the two presentations.
 
-``exchange_canonical`` returns the least presentation reachable from a
-diagram by first-branch moves only (``class_words``). That walk is
-one-way, so the form can depend on the presentation it starts from and on
-which diagrams were canonicalized first in the process: ``_CANON_MEMO``
-maps every word a walk visits to that walk's result. No class is kept;
-each caller walks ``class_words`` afresh. Canonical forms serve only
-``hcompose``, the confluence probe and the bundle authoring tool; no
-proof step is checked through them.
+``exchange_canonical`` returns the least presentation of a diagram's
+exchange class, walked by ``class_words`` over the same symmetric moves,
+so it is a property of the class: every presentation has the same form.
+``_CANON_MEMO`` only caches it. Canonical forms serve only the bundle
+authoring tool; no proof step is checked through them.
 
 Token order convention: in a one-cell string the leftmost token is the first
 applied. ``star_lift`` therefore reverses a base path, ``shriek_lift``
@@ -546,7 +543,7 @@ def hcompose(d1: Diagram, d2: Diagram) -> Diagram:
         raise BoundaryMismatch(f"hcompose: {d1.source.cod!r} != {d2.source.dom!r}")
     upper = whisker("right", d2.source, d1)
     lower = whisker("left", d1.target, d2)
-    return exchange_canonical(vcompose(upper, lower))
+    return vcompose(upper, lower)
 
 
 # ---------------------------------------------------------------------------
@@ -600,22 +597,15 @@ def compact_word(layers: tuple[Layer, ...]) -> tuple:
 
 
 def class_words(word: tuple) -> list:
-    """Every word reachable under the first branch of each exchange move,
-    in breadth-first discovery order from ``word`` itself. This one-way
-    walk is what canonical forms are taken over (see
-    ``_canonical_layers``); the confluence probe and the authoring scanner
-    walk it too. Nothing is cached: the same start word always gives the
-    same words in the same order."""
+    """Every word of ``word``'s exchange class, in breadth-first discovery
+    order over ``exchanges`` from ``word`` itself. Nothing is cached: the
+    same start word always gives the same words in the same order, and
+    every start word of a class gives the same set."""
     seen = {word}
     order = [word]
     frontier = deque([word])
     while frontier:
-        cur = frontier.popleft()
-        for i in range(len(cur) - 1):
-            sw = _swap_branches(cur[i], cur[i + 1])
-            if not sw:
-                continue
-            nxt = cur[:i] + sw[0] + cur[i + 2 :]
+        for nxt in exchanges(frontier.popleft()):
             if nxt not in seen:
                 seen.add(nxt)
                 order.append(nxt)
@@ -688,18 +678,14 @@ _CANON_MEMO: dict = {}
 def _canonical_layers(layers: tuple[Layer, ...]) -> tuple[Layer, ...]:
     """Lexicographically minimal exchange-equivalent layer sequence.
 
-    The minimum is taken over every presentation reachable by adjacent
-    swaps. Level-by-level greedy emission is not sound here: a zero-width
+    The minimum is taken over every presentation of the exchange class
+    (``class_words``), so it does not depend on the presentation given.
+    Level-by-level greedy emission is not sound here: a zero-width
     generator sitting at the edge of a deletion interval can slide through
     the deletion, which changes which other layers it overlaps, so the set
-    of layers movable to the top depends on the chosen presentation. The
-    walk (``class_words``) takes only the first branch of each move, so the
-    words reached, and their key-sequence minimum, can depend on the start
-    word. Every visited presentation is memoized in ``_CANON_MEMO`` to this
-    walk's result, so the first walk that visits a word fixes its
-    canonical form for the rest of the process. Only ``hcompose``,
-    the confluence probe and the bundle authoring tool use these forms;
-    proof checking decides isotopy with ``isotopic``.
+    of layers movable to the top depends on the chosen presentation.
+    ``_CANON_MEMO`` maps every word of a walked class to its result, a
+    cache only: any word of the class would give the same result.
     """
     if not layers:
         return ()
@@ -721,7 +707,8 @@ def _canonical_layers(layers: tuple[Layer, ...]) -> tuple[Layer, ...]:
 
 
 def exchange_canonical(d: Diagram) -> Diagram:
-    """The least presentation reachable from ``d`` (see ``_canonical_layers``)."""
+    """The least presentation of ``d``'s exchange class (see
+    ``_canonical_layers``)."""
     if len(_CANON_MEMO) > 400000:
         _CANON_MEMO.clear()
     return Diagram(d.source, d.target, _canonical_layers(d.layers))

@@ -94,17 +94,6 @@ class _Curve:
     y1: float
     label: str
 
-    def point(self, t: float) -> tuple:
-        mt = 1 - t
-        # control points sit at (x0, ym) and (x1, ym) with ym midway,
-        # giving vertical tangents at both ends
-        ym = (self.y0 + self.y1) / 2
-        x = (mt ** 3) * self.x0 + 3 * (mt ** 2) * t * self.x0 \
-            + 3 * mt * (t ** 2) * self.x1 + (t ** 3) * self.x1
-        y = (mt ** 3) * self.y0 + 3 * (mt ** 2) * t * ym \
-            + 3 * mt * (t ** 2) * ym + (t ** 3) * self.y1
-        return x, y
-
 
 @dataclass
 class _Scene:

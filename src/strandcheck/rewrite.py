@@ -13,8 +13,9 @@ the pattern, the replacement is spliced in between the strings
 the stated result with ``isotopic``, all modulo exchange of layers only.
 No step is checked through a canonical form. The confluence probe
 (``oriented_successors``) and the region scanner ``_scan_regions``, which
-serves only the authoring tool ``DerivationBuilder``, walk one-way
-exchange classes with ``class_words``.
+serves only the authoring tool ``DerivationBuilder``, walk exchange
+classes with ``class_words``, over the same symmetric moves; only the
+authoring tool takes canonical forms.
 """
 
 from __future__ import annotations
@@ -458,10 +459,11 @@ def _oriented_successors_one(d: Diagram):
 
 
 def oriented_successors(d: Diagram) -> dict[Diagram, None]:
-    """All one-step oriented rewrites modulo isotopy, canonicalized.
+    """All one-step oriented rewrites modulo isotopy.
 
-    Every presentation of ``d``'s one-way class (``class_words`` from
-    ``d``'s own word) is expanded and rewritten once. The keys are in
+    Every presentation of ``d``'s exchange class (``class_words`` from
+    ``d``'s own word) is expanded and rewritten once; the keys are the
+    rewritten presentations themselves, not canonical forms. They are in
     discovery order, so the exploration that queues them does not depend
     on the process's string-hash seed.
     """
@@ -469,33 +471,28 @@ def oriented_successors(d: Diagram) -> dict[Diagram, None]:
     for word in class_words(compact_word(d.layers)):
         rep = Diagram(d.source, d.target, expand_word(d.source, word))
         for nxt in _oriented_successors_one(rep):
-            out[exchange_canonical(nxt)] = None
+            out[nxt] = None
     return out
 
 
 def absorb_closure(d: Diagram) -> Diagram:
-    """Apply whisker-absorption steps until none applies, canonically.
+    """Apply whisker-absorption steps until none applies.
 
-    Absorption steps strictly commute with each other and with deletion and
-    merging of other layers (statewise diamonds, checked by property tests),
-    so the closure is well defined and the set of reachable terminal forms
-    is unchanged when exploration is restricted to closed diagrams.
+    Each coherence layer absorbs its whisker strands, right then left, in
+    one pass; absorbing into one layer changes no other. Absorption steps
+    strictly commute with each other and with deletion and merging of
+    other layers (statewise diamonds, checked by property tests), so the
+    closure is well defined and the set of reachable terminal forms is
+    unchanged when exploration is restricted to closed diagrams.
     """
-    layers = list(d.layers)
-    changed = True
-    while changed:
-        changed = False
-        for i, layer in enumerate(layers):
-            if not isinstance(layer.gen, Coherence):
-                continue
-            new = _absorbed(layer, "right")
-            if new is None:
-                new = _absorbed(layer, "left")
-            if new is not None:
-                layers[i] = new
-                changed = True
-                break
-    return exchange_canonical(Diagram(d.source, d.target, tuple(layers)))
+    layers = []
+    for layer in d.layers:
+        if isinstance(layer.gen, Coherence):
+            for side in ("right", "left"):
+                while (new := _absorbed(layer, side)) is not None:
+                    layer = new
+        layers.append(layer)
+    return Diagram(d.source, d.target, tuple(layers))
 
 
 def normal_forms(d: Diagram, limit: int = 10000) -> set[Diagram]:
@@ -504,10 +501,12 @@ def normal_forms(d: Diagram, limit: int = 10000) -> set[Diagram]:
     Exploration is breadth-first over deletion and merge redex choices,
     with absorption applied up to closure between steps; the commutation
     diamonds recorded at ``absorb_closure`` make this reach exactly the
-    terminals of the unrestricted system.
+    terminals of the unrestricted system. States are kept as the
+    presentations rewriting produced, not as canonical forms; each
+    state's successors are taken in every presentation of its class.
     """
     _require_pure_chi(d)
-    start = absorb_closure(exchange_canonical(d))
+    start = absorb_closure(d)
     seen = {start}
     frontier = deque([start])
     terminals = set()
@@ -614,7 +613,13 @@ class CheckReport:
 def confluence_probe(sig: Signature, size: tuple[int, int] = (5, 4),
                      samples: int = 100, seed: int = 0) -> CheckReport:
     """Exhaustively rewrite random coherence diagrams and check unique
-    normal forms matching ``normalize_fib``."""
+    normal forms matching ``normalize_fib``.
+
+    Terminals are compared exactly, with no canonical form: a terminal
+    has at most one layer, since R3 absorbs every whisker strand (all are
+    pullback strands) and R2 merges any two adjacent full-width layers,
+    and a presentation with at most one layer is the only one of its
+    class."""
     max_layers, max_path_len = size
     rng = random.Random(seed)
     violations = []
@@ -622,7 +627,7 @@ def confluence_probe(sig: Signature, size: tuple[int, int] = (5, 4),
     for idx in range(samples):
         d = random_chi_diagram(sig, rng, max_layers, max_path_len)
         terminals = normal_forms(d)
-        expected = exchange_canonical(normalize_fib(d))
+        expected = normalize_fib(d)
         if len(terminals) != 1 or next(iter(terminals)) != expected:
             violations.append(idx)
         checked += 1
@@ -815,8 +820,9 @@ def _scan_regions(d: Diagram, height: Optional[int] = None,
 
     The authoring tool's scanner; proof checking resolves positions with
     ``_blocks_at``. Scans every word of ``class_words`` from the canonical
-    form of ``d``, in walk order; in each, layer ranges top to bottom
-    (shorter first), then strands left to right (narrower first).
+    form of ``d``, in walk order, so the order depends on ``d``'s class
+    alone; in each word, layer ranges top to bottom (shorter first), then
+    strands left to right (narrower first).
     ``height`` and ``width`` fix the region's layer count and strand
     count; None leaves them free. With ``coherence_only`` only ranges of
     coherence layers are scanned. Regions are tried on compact words with

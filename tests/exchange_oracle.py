@@ -44,8 +44,8 @@ def swap_branches(l1: Layer, l2: Layer) -> list[tuple[Layer, Layer]]:
 
 
 def swap_adjacent(l1: Layer, l2: Layer) -> Optional[tuple[Layer, Layer]]:
-    """The first branch of ``swap_branches``, the one canonical forms walk,
-    or ``None`` if the generators interact."""
+    """The first branch of ``swap_branches``, or ``None`` if the
+    generators interact."""
     branches = swap_branches(l1, l2)
     return branches[0] if branches else None
 

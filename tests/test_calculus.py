@@ -289,28 +289,47 @@ def test_canonical_stable_under_shuffling_property(n_layers, seed):
         assert exchange_canonical(Diagram(d.source, d.target, ls)) == exchange_canonical(d)
 
 
+def _fresh_canonical(d):
+    """``exchange_canonical`` of ``d`` with the memo emptied first."""
+    calculus._CANON_MEMO.clear()
+    return exchange_canonical(d)
+
+
 def test_isotopic_is_reachability_under_both_branches(monkeypatch):
-    """``isotopic`` agrees with the layer-level closure under both swap
-    branches on every ordered pair of equal-boundary diagrams of a pool, in
-    a fresh memo; some isotopic pairs are out of the one-way walk's reach."""
+    """``isotopic`` and equality of canonical forms both agree with the
+    layer-level closure under both swap branches on every ordered pair of
+    equal-boundary diagrams of a pool, each form taken in an empty memo;
+    some isotopic pairs are out of the first branch's reach."""
     monkeypatch.setattr(calculus, "_CANON_MEMO", {})
     sig = signature_for(None)
     rng, pick = random.Random(6), random.Random(0)
     groups = defaultdict(list)
+    drawn = []
     for _ in range(30):
         d = random_chi_diagram(sig, rng, 6, 4)
+        drawn.append(d)
         others = sorted(symmetric_closure(d) - {d.layers}, key=repr)
         for layers in [d.layers, *pick.sample(others, min(3, len(others)))]:
             groups[(d.source, d.target)].append(
                 Diagram(d.source, d.target, layers))
     second_branch = 0
     for group in groups.values():
-        for x in group:
+        forms = [_fresh_canonical(x) for x in group]
+        for x, x_form in zip(group, forms):
             closure, one_way = symmetric_closure(x), _bfs_isotopy_class(x)
-            for y in group:
+            for y, y_form in zip(group, forms):
                 assert isotopic(x, y) == (y.layers in closure), (x, y)
+                assert (x_form == y_form) == (y.layers in closure), (x, y)
                 second_branch += y.layers in closure - one_way
     assert second_branch > 0
+    # the 7th diagram drawn holds a 0->0 cell that the first branch alone
+    # moves past a 0->2 cell but not back; all its presentations share
+    # one form
+    d0 = drawn[6]
+    closure = symmetric_closure(d0)
+    assert len(closure) == 128
+    assert {_fresh_canonical(Diagram(d0.source, d0.target, layers))
+            for layers in closure} == {_fresh_canonical(d0)}
 
 
 def test_hcompose_interchange(base):

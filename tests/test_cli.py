@@ -60,9 +60,9 @@ def test_check_corrupted_step_exits_1(bundle_dir, tmp_path, capsys):
     assert "Failed at step" in out
 
 
-# A reordering of the 7th diagram drawn below that the one-way walk of
-# canonical forms reaches from it but cannot leave again: the 0->0 cell
-# slides past the 0->2 cell only on its left.
+# A reordering of the 7th diagram drawn below that the first branch of
+# exchange reaches from it but cannot leave again: the 0->0 cell slides
+# past the 0->2 cell only on its left.
 _REORDERED = ("[<E_B> | chi(delta;f1 => id(B)) | f1*.delta*]; "
               "[<E_B> | chi(delta;f1 => id(B)) | <E_B>]; "
               "[<E_B> | chi(id(B) => id(B)) | <E_B>]; "

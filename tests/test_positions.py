@@ -47,8 +47,8 @@ def _regions(d):
                     yield lo, hi, strand, width
 
 
-def _one_way_class(d):
-    """Every presentation the one-way walk reaches from ``d``, expanded."""
+def _class_presentations(d):
+    """Every presentation of ``d``'s exchange class, expanded."""
     return [Diagram(d.source, d.target, expand_word(d.source, w))
             for w in class_words(compact_word(d.layers))]
 
@@ -80,7 +80,7 @@ def test_fit_check_agrees_with_extraction_on_bundle_classes():
     for name, index in _SMALL_CLASSES:
         script = scripts[name]
         d = ([script.claim_lhs] + [s.result for s in script.steps])[index]
-        cls = _one_way_class(exchange_canonical(d))
+        cls = _class_presentations(exchange_canonical(d))
         assert 10 <= len(cls) <= 3000
         _assert_fit_check_agrees(cls)
 
@@ -90,7 +90,7 @@ def test_fit_check_agrees_with_extraction_on_random_diagrams():
     rng = random.Random(9)
     for _ in range(15):
         d = random_chi_diagram(sig, rng, 4, 4)
-        _assert_fit_check_agrees(_one_way_class(d))
+        _assert_fit_check_agrees(_class_presentations(d))
 
 
 def test_extract_then_splice_gives_back_every_bundle_diagram():
@@ -133,9 +133,9 @@ def _closure_regions(closure, top_width, n):
 def _assert_blocks_at_contract(d):
     """``_blocks_at`` yields each presentation of the symmetric closure of
     ``d`` where the region fits, once, ``d`` first when it fits there, and
-    so every one the one-way walk of the canonical class found."""
+    so every one the walk of the canonical class found."""
     closure = [Diagram(d.source, d.target, ls) for ls in symmetric_closure(d)]
-    one_way = class_words(compact_word(exchange_canonical(d).layers))
+    walked = class_words(compact_word(exchange_canonical(d).layers))
     for region, inside in _closure_regions([p.layers for p in closure],
                                            len(d.source), len(d.layers)):
         fields = (region.lo, region.hi, region.strand, region.width)
@@ -147,7 +147,7 @@ def _assert_blocks_at_contract(d):
         if region_fits(d, *fields):
             assert found[0][0] == d, region
         words = {compact_word(ls) for ls in reps}
-        assert all(w in words for w in one_way
+        assert all(w in words for w in walked
                    if region_misfit(w, len(d.source), *fields) is None), region
         for rep, block in found:
             assert block == extract_block(rep, region)[0]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strandcheck
-from strandcheck import rewrite
+from strandcheck import calculus, rewrite
 from strandcheck.base import (
     BasePresentation,
     PolygonType,
@@ -43,6 +43,7 @@ from strandcheck.calculus import (
     vcompose,
     whisker,
 )
+from strandcheck.descent import signature_for
 from strandcheck.errors import (
     BoundaryChanged,
     InvalidBinding,
@@ -395,6 +396,22 @@ def test_absorption_steps_commute_statewise(sig):
 
 def test_confluence_probe_smoke(sig):
     rep = confluence_probe(sig, size=(4, 3), samples=60, seed=1)
+    assert rep.ok
+    assert rep.stats == {"samples": 60, "violations": 0}
+
+
+def test_confluence_probe_takes_no_canonical_form(monkeypatch):
+    calls = []
+    exchange_canonical_ = calculus.exchange_canonical
+
+    def counting_canonical(d):
+        calls.append(d)
+        return exchange_canonical_(d)
+
+    for module in (calculus, rewrite):
+        monkeypatch.setattr(module, "exchange_canonical", counting_canonical)
+    rep = confluence_probe(signature_for(None), samples=60, seed=1)
+    assert calls == []
     assert rep.ok
     assert rep.stats == {"samples": 60, "violations": 0}
 
