@@ -22,7 +22,7 @@ from .descent import (
     verify_theorem,
 )
 from .errors import ParseError, StrandcheckError
-from .finmodel import oracle_equal
+from .finmodel import oracle_claims
 from .parser import (
     format_diagram_block,
     format_script_file,
@@ -146,10 +146,11 @@ def cmd_verify(args) -> int:
     else:
         oracle: dict = {}
         passed = 0
-        for script in bundled_scripts():
-            r = oracle_equal(script.claim_lhs, script.claim_rhs,
-                             inst_count=args.instances,
-                             max_size=args.max_size, seed=args.seed)
+        scripts = bundled_scripts()
+        reports = oracle_claims([(s.claim_lhs, s.claim_rhs) for s in scripts],
+                                inst_count=args.instances,
+                                max_size=args.max_size, seed=args.seed)
+        for script, r in zip(scripts, reports):
             oracle[script.name] = r.as_dict()
             if r.ok:
                 passed += 1
@@ -237,12 +238,10 @@ def cmd_model_check(args) -> int:
                      "warning": "0 instances"},
               ["warning: 0 instances, the oracle checked nothing"])
         return EXIT_OK
-    reports = []
-    for script in sf.scripts:
-        r = oracle_equal(script.claim_lhs, script.claim_rhs,
-                         inst_count=args.instances, max_size=args.max_size,
-                         seed=args.seed, max_fiber=args.max_fiber)
-        reports.append((script.name, r))
+    results = oracle_claims([(s.claim_lhs, s.claim_rhs) for s in sf.scripts],
+                            inst_count=args.instances, max_size=args.max_size,
+                            seed=args.seed, max_fiber=args.max_fiber)
+    reports = [(s.name, r) for s, r in zip(sf.scripts, results)]
     failed = [name for name, r in reports if not r.ok]
     payload = {"command": "model-check",
                "claims": {name: r.as_dict() for name, r in reports},

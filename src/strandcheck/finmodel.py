@@ -29,10 +29,17 @@ of a marked square a corner lookup: ``(x, v) |-> (w, v)`` for the
 unique corner element ``w`` over ``x`` and the base point. The whisker
 is then wrapped back on. The left whisker only says which family the
 element lives in, so it is never interpreted.
+
+Sampling. A claim's draws depend only on the seed, on whether it needs
+a descent environment and on the object of its input family, so
+``oracle_claims`` draws each sample once per group of claims that agree
+on these and interprets every claim of the group on it before the next
+draw: each claim sees exactly the samples it would see alone.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Union
@@ -177,6 +184,12 @@ def validate_instance(inst: FinInstance) -> None:
             raise RelationViolated(f"square {sq.label} is not a genuine pullback")
 
 
+@functools.cache
+def _descent_base() -> BasePresentation:
+    from .descent import builtin_descent_base
+    return builtin_descent_base()
+
+
 def make_instance(A, B, f: Union[Mapping, Callable]) -> FinInstance:
     """The canonical finite-set instance of the built-in kernel-pair base.
 
@@ -186,9 +199,7 @@ def make_instance(A, B, f: Union[Mapping, Callable]) -> FinInstance:
     the pairs (q1, q2) of Q-elements with f2(q2) = f1(q1), with
     pi(q1, q2) = (f1(q2), f2(q1)).
     """
-    from .descent import builtin_descent_base
-
-    base = builtin_descent_base()
+    base = _descent_base()
     elems_a = tuple(A)
     elems_b = tuple(B)
     fmap = dict(f) if isinstance(f, Mapping) else {b: f(b) for b in elems_b}
@@ -411,10 +422,9 @@ def interpret_diagram(
             )
         start = input_family
     src = interpret_path(d.source, inst, start, env)
-    steps = [
-        (layer.right.tokens, _generator_step(layer.gen, inst, env))
-        for layer in d.layers
-    ]
+    gens = {layer._gid: layer.gen for layer in d.layers}
+    made = {gid: _generator_step(g, inst, env) for gid, g in gens.items()}
+    steps = [(layer.right.tokens, made[layer._gid]) for layer in d.layers]
     components = {
         e: {v: _carry(e, v, steps, inst) for v in fib} for e, fib in src.fibers
     }
@@ -445,6 +455,19 @@ def random_instance(rng: random.Random, max_size: int) -> FinInstance:
     return make_instance(elems_a, elems_b, fmap)
 
 
+@functools.cache
+def _free_template() -> tuple:
+    """The names of the descent base, its three descent cells, alpha's
+    source boundary, and the translations of alpha and of phi."""
+    from .descent import _Names, signature_for, translate_F, translate_G
+
+    base = _descent_base()
+    alpha, phi, beta = (signature_for(kind, base).descent_generator()
+                        for kind in ("TA", "DD", "AC"))
+    return (_Names(base), alpha, phi, beta, generator_boundary(alpha)[0],
+            translate_F(single(alpha), base), translate_G(single(phi), base))
+
+
 def free_algebra_env(
     rng: random.Random, inst: FinInstance, max_fiber: int
 ) -> dict:
@@ -455,27 +478,15 @@ def free_algebra_env(
     images of that structure under the two translations, so every axiom
     system holds extensionally.
     """
-    from .descent import _Names, signature_for, translate_F, translate_G
-
-    base = inst.base
-    n = _Names(base)
-    A = n.f.dst
-    family_y = random_family(rng, inst, A, max_fiber)
+    n, alpha, phi, beta, alpha_src, phi_map, beta_map = _free_template()
+    family_y = random_family(rng, inst, n.f.dst, max_fiber)
     family_x = interpret_token(Star(n.f), inst, family_y)
-    alpha_cell = signature_for("TA", base).descent_generator()
-    phi_cell = signature_for("DD", base).descent_generator()
-    beta_cell = signature_for("AC", base).descent_generator()
     env = {n.x: family_x}
-    gs, _ = generator_boundary(alpha_cell)
-    src_fam = interpret_path(gs, inst, terminal_family(), env)
+    src_fam = interpret_path(alpha_src, inst, terminal_family(), env)
     components = {b: {(b2, v): v for b2, v in fib} for b, fib in src_fam.fibers}
-    env[alpha_cell] = FamilyMap(src_fam, family_x, components)
-    env[phi_cell] = interpret_diagram(
-        translate_F(single(alpha_cell), base), inst, env
-    )
-    env[beta_cell] = interpret_diagram(
-        translate_G(single(phi_cell), base), inst, env
-    )
+    env[alpha] = FamilyMap(src_fam, family_x, components)
+    env[phi] = interpret_diagram(phi_map, inst, env)
+    env[beta] = interpret_diagram(beta_map, inst, env)
     return env
 
 
@@ -490,48 +501,48 @@ def _needs_env(d: Diagram) -> bool:
     return False
 
 
-def oracle_equal(
-    d1: Diagram,
-    d2: Diagram,
-    inst_count: int = 100,
-    max_size: int = 4,
-    seed: int = 0,
-    max_fiber: Optional[int] = None,
-):
-    """Compare two parallel diagrams extensionally on random instances.
+def oracle_claims(pairs, inst_count: int = 100, max_size: int = 4,
+                  seed: int = 0, max_fiber: Optional[int] = None) -> list:
+    """Compare pairs of parallel diagrams extensionally, one report each.
 
     Samples ``inst_count`` canonical instances with carriers of at most
     ``max_size`` elements and random families with fibers of at most
-    ``max_fiber`` (default ``max_size``) elements, and reports equal iff
-    the interpretations agree pointwise on every sample. Descent cells
-    are interpreted by freely generated structures, which satisfy all
-    three axiom systems.
+    ``max_fiber`` (default ``max_size``) elements; a pair is equal iff its
+    interpretations agree on every sample. Descent cells are interpreted
+    by freely generated structures, which satisfy all three axiom systems.
     """
     from .rewrite import CheckReport
 
-    if d1.source != d2.source or d1.target != d2.target:
+    pairs = list(pairs)
+    if any(d1.source != d2.source or d1.target != d2.target for d1, d2 in pairs):
         raise BoundaryMismatch("oracle_equal needs parallel diagrams")
     max_fiber = max_size if max_fiber is None else max_fiber
-    rng = random.Random(seed)
-    needs_env = _needs_env(d1) or _needs_env(d2)
-    mismatches = []
-    for idx in range(inst_count):
-        inst = random_instance(rng, max_size)
-        env = free_algebra_env(rng, inst, max_fiber) if needs_env else None
-        if d1.source.dom.is_terminal:
-            input_family = None
-        else:
-            input_family = random_family(rng, inst, d1.source.dom.obj, max_fiber)
-        m1 = interpret_diagram(d1, inst, env, input_family)
-        m2 = interpret_diagram(d2, inst, env, input_family)
-        if m1 != m2:
-            mismatches.append(idx)
-    report = CheckReport(
-        name="model-oracle",
-        verdict="Verified" if not mismatches else "Failed",
-        stats={"samples": inst_count, "mismatches": len(mismatches)},
-    )
-    if mismatches:
-        report.failed_step = mismatches[0]
-        report.reason = f"interpretations differ at sample {mismatches[0]}"
-    return report
+    mismatches = [[] for _ in pairs]
+    groups: dict = {}
+    for (d1, d2), found in zip(pairs, mismatches):
+        key = (_needs_env(d1) or _needs_env(d2), d1.source.dom)
+        groups.setdefault(key, []).append((d1, d2, found))
+    for (needs_env, dom), group in groups.items():
+        rng = random.Random(seed)
+        for idx in range(inst_count):
+            inst = random_instance(rng, max_size)
+            env = free_algebra_env(rng, inst, max_fiber) if needs_env else None
+            x = None if dom.is_terminal \
+                else random_family(rng, inst, dom.obj, max_fiber)
+            for d1, d2, found in group:
+                if interpret_diagram(d1, inst, env, x) != \
+                        interpret_diagram(d2, inst, env, x):
+                    found.append(idx)
+    return [CheckReport(
+        "model-oracle", "Failed" if found else "Verified",
+        failed_step=found[0] if found else None,
+        reason=f"interpretations differ at sample {found[0]}" if found else None,
+        stats={"samples": inst_count, "mismatches": len(found)},
+    ) for found in mismatches]
+
+
+def oracle_equal(d1: Diagram, d2: Diagram, inst_count: int = 100,
+                 max_size: int = 4, seed: int = 0,
+                 max_fiber: Optional[int] = None):
+    """``oracle_claims`` for the one pair ``(d1, d2)``."""
+    return oracle_claims([(d1, d2)], inst_count, max_size, seed, max_fiber)[0]

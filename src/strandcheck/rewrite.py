@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from copy import copy
 from dataclasses import dataclass, field
+from itertools import tee
 from typing import Callable, Optional
 
 from .base import (
@@ -911,8 +913,10 @@ def apply_step(session: CheckerSession, d: Diagram, step: ProofStep) -> Diagram:
     if step.region is None:
         raise PatternNotFound("step needs a position")
     if isinstance(just, FibCoherence):
-        replacements = [nb for _, nb in _blocks_at(step.result, just.result_region)
-                        if _pure_chi(nb)]
+        # filled only as far as the loop below reads: every copy of a tee
+        # reads one shared buffer from its start
+        replacements, = tee((nb for _, nb in _blocks_at(
+            step.result, just.result_region) if _pure_chi(nb)), 1)
         matches = _pure_chi
     else:
         pattern, replacement = session.pattern_pair(just)
@@ -926,7 +930,7 @@ def apply_step(session: CheckerSession, d: Diagram, step: ProofStep) -> Diagram:
         if not matches(block):
             continue
         matched = True
-        for new in replacements:
+        for new in copy(replacements):
             if (new.source == block.source and new.target == block.target
                     and isotopic(splice_block(rep, step.region, new), step.result)):
                 return step.result

@@ -7,8 +7,13 @@ whisker token by token. The inverted comparison cell builds the forward
 comparison bijection and inverts it pointwise. None of this shares code
 with ``strandcheck.finmodel.interpret_diagram`` beyond the one-cell
 interpretation of families.
+
+``reference_oracle`` is the one-claim sampling loop, which draws every
+sample for one claim alone; it is the oracle for ``oracle_claims``, which
+shares samples between claims.
 """
 
+import random
 from typing import Optional
 
 from strandcheck.calculus import (
@@ -36,10 +41,16 @@ from strandcheck.finmodel import (
     Family,
     FamilyMap,
     FinInstance,
+    _needs_env,
+    free_algebra_env,
+    interpret_diagram,
     interpret_path,
     interpret_token,
+    random_family,
+    random_instance,
     terminal_family,
 )
+from strandcheck.rewrite import CheckReport
 
 
 def identity_map(fam: Family) -> FamilyMap:
@@ -161,3 +172,40 @@ def reference_interpret(
         gen_map = interpret_generator(layer.gen, inst, left_fam, env)
         cur = compose_maps(cur, map_along_path(layer.right, inst, gen_map))
     return cur
+
+
+def reference_oracle(
+    d1: Diagram,
+    d2: Diagram,
+    inst_count: int = 100,
+    max_size: int = 4,
+    seed: int = 0,
+    max_fiber: Optional[int] = None,
+) -> CheckReport:
+    """One claim on its own samples: ``inst_count`` draws from
+    ``Random(seed)``, each an instance, then an environment when the claim
+    needs one, then an input family when its source is not terminal."""
+    max_fiber = max_size if max_fiber is None else max_fiber
+    rng = random.Random(seed)
+    needs_env = _needs_env(d1) or _needs_env(d2)
+    mismatches = []
+    for idx in range(inst_count):
+        inst = random_instance(rng, max_size)
+        env = free_algebra_env(rng, inst, max_fiber) if needs_env else None
+        if d1.source.dom.is_terminal:
+            input_family = None
+        else:
+            input_family = random_family(rng, inst, d1.source.dom.obj, max_fiber)
+        m1 = interpret_diagram(d1, inst, env, input_family)
+        m2 = interpret_diagram(d2, inst, env, input_family)
+        if m1 != m2:
+            mismatches.append(idx)
+    report = CheckReport(
+        name="model-oracle",
+        verdict="Verified" if not mismatches else "Failed",
+        stats={"samples": inst_count, "mismatches": len(mismatches)},
+    )
+    if mismatches:
+        report.failed_step = mismatches[0]
+        report.reason = f"interpretations differ at sample {mismatches[0]}"
+    return report

@@ -217,6 +217,35 @@ claim inner = outer
     assert "Failed" in capsys.readouterr().out
 
 
+def test_model_check_pins_the_draw_order(base_text, tmp_path, capsys):
+    """The first differing sample of a false claim, after a true claim that
+    shares its samples, is the one the per-claim loop found: sample 25."""
+    src = tmp_path / "neq.strand"
+    src.write_text(base_text + """
+
+[signature]
+extension none
+
+[diagram inner : f* f! f* f! => f* f!]
+layer id(A) | eps(f) | f* f!
+
+[diagram outer : f* f! f* f! => f* f!]
+layer f* f! | eps(f) | id(A)
+
+[script same]
+claim inner = inner
+
+[script bogus]
+claim inner = outer
+""")
+    assert main(["model-check", str(src), "--max-size", "3",
+                 "--max-fiber", "1", "--seed", "7"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "same: Verified",
+        "bogus: Failed (interpretations differ at sample 25)",
+    ]
+
+
 @pytest.mark.parametrize("args", [
     ["probe-confluence", "--samples", "-1"],
     ["probe-confluence", "--size", "-1"],

@@ -48,6 +48,9 @@ from strandcheck.errors import (
     RelationViolated,
     TypeMismatch,
 )
+from strandcheck import base as base_module
+from strandcheck import finmodel
+from strandcheck.cli import main
 from strandcheck.finmodel import (
     Family,
     free_algebra_env,
@@ -55,6 +58,7 @@ from strandcheck.finmodel import (
     interpret_path,
     interpret_token,
     make_instance,
+    oracle_claims,
     oracle_equal,
     random_family,
     random_instance,
@@ -64,7 +68,12 @@ from strandcheck.finmodel import (
 from strandcheck.parser import parse_script_file
 from strandcheck.rewrite import bc_expansion
 
-from finmodel_oracle import compose_maps, identity_map, reference_interpret
+from finmodel_oracle import (
+    compose_maps,
+    identity_map,
+    reference_interpret,
+    reference_oracle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -308,10 +317,7 @@ def test_oracle_ta2_with_translated_action(names):
 
 
 def test_oracle_detects_distinct_counit_placements(names):
-    eA = fiber(names.f.dst)
-    pair = cells(eA, Star(names.f), Shriek(names.f))
-    inner = from_layers([Layer(identity_cells(eA), Counit(names.f), pair)])
-    outer = from_layers([Layer(pair, Counit(names.f), identity_cells(eA))])
+    inner, outer = _counit_placements(names)
     report = oracle_equal(inner, outer, inst_count=50, max_size=3,
                           seed=1, max_fiber=2)
     assert report.verdict == "Failed"
@@ -325,6 +331,103 @@ def test_oracle_deterministic_per_seed(names):
     r2 = oracle_equal(d, d, inst_count=10, max_size=3, seed=9)
     assert r1.verdict == r2.verdict == "Verified"
     assert r1.stats == r2.stats
+
+
+def _counit_placements(names):
+    """Two parallel diagrams that differ pointwise: the counit of f on the
+    inner and on the outer pair of strands."""
+    eA = fiber(names.f.dst)
+    pair = cells(eA, Star(names.f), Shriek(names.f))
+    inner = from_layers([Layer(identity_cells(eA), Counit(names.f), pair)])
+    outer = from_layers([Layer(pair, Counit(names.f), identity_cells(eA))])
+    return inner, outer
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_oracle_claims_agrees_with_per_claim_loop(names, seed):
+    """Claims that share samples get the reports they get alone: env
+    claims with a terminal source, input-family claims and a false pair."""
+    pairs = [(s.claim_lhs, s.claim_rhs) for s in bundled_scripts()]
+    pairs.append(_counit_placements(names))
+    keys = {(finmodel._needs_env(d1) or finmodel._needs_env(d2),
+             d1.source.dom) for d1, d2 in pairs}
+    assert len(keys) == 3
+    assert {(env, dom.is_terminal) for env, dom in keys} == {
+        (True, True), (False, False)}
+    got = oracle_claims(pairs, inst_count=12, max_size=3, seed=seed,
+                        max_fiber=2)
+    want = [reference_oracle(d1, d2, inst_count=12, max_size=3, seed=seed,
+                             max_fiber=2) for d1, d2 in pairs]
+    assert [r.as_dict() for r in got] == [r.as_dict() for r in want]
+    assert got[-1].verdict == "Failed"
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_verify_draws_each_sample_once(monkeypatch, capsys):
+    """The 13 bundled claims fall into two draw groups, so 25 instances
+    per group, 25 environments for the one group that needs them, and the
+    descent base built once for all of them."""
+    finmodel._descent_base.cache_clear()
+    finmodel._free_template.cache_clear()
+    instances = _counting(monkeypatch, finmodel, "make_instance")
+    envs = _counting(monkeypatch, finmodel, "free_algebra_env")
+    paths = _counting(monkeypatch, base_module, "paths_equal")
+    assert main(["verify-benabou-roubaud", "--seed", "1"]) == 0
+    assert "oracle: 13/13 claims agree" in capsys.readouterr().out
+    assert len(instances) == 50
+    assert len(envs) == 25
+    assert len(paths) <= 100
+
+
+def _repeating(d, kind):
+    gids = [layer._gid for layer in d.layers if isinstance(layer.gen, kind)]
+    return len(set(gids)) < len(gids)
+
+
+def test_repeated_generators_agree_with_reference(names, monkeypatch):
+    """A generator that occurs in several layers is made into one step,
+    and each layer still carries elements through its own whiskers."""
+    scripts = {s.name: s for s in bundled_scripts()}
+    diagrams = [scripts["mu_trans"].claim_lhs, scripts["H_TA2"].claim_rhs]
+    diagrams += [side for kind in ("TA", "DD", "AC")
+                 for eq in axiom_equations(kind, names.base)
+                 for side in (eq.lhs, eq.rhs) if _repeating(side, DescentCell)]
+    assert _repeating(diagrams[0], SquareInv)
+    assert _repeating(diagrams[1], SquareInv)
+    assert len(diagrams) == 5
+    steps = _counting(monkeypatch, finmodel, "_generator_step")
+    rng = random.Random(13)
+    for _ in range(20):
+        inst = random_instance(rng, 4)
+        env = free_algebra_env(rng, inst, 3)
+        for d in diagrams:
+            x = _input_family(rng, inst, d)
+            del steps[:]
+            got = interpret_diagram(d, inst, env, x)
+            assert len(steps) == len({layer._gid for layer in d.layers})
+            assert got == reference_interpret(d, inst, env, x), d
+
+
+def test_repeated_descent_cell_with_wrong_boundary_rejected(inst, names):
+    alpha = signature_for("TA", names.base).descent_generator()
+    phi = signature_for("DD", names.base).descent_generator()
+    ta2 = axiom_equations("TA", names.base)[1].rhs
+    assert _repeating(ta2, DescentCell)
+    env = free_algebra_env(random.Random(3), inst, 2)
+    env[alpha] = env[phi]
+    with pytest.raises(TypeMismatch):
+        interpret_diagram(ta2, inst, env)
 
 
 def test_empty_instance_evaluates(names):
