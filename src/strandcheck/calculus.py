@@ -7,11 +7,15 @@ disjoint strands), which ``exchanges`` enumerates under both branches of
 ``_swap_branches``; the relation they generate is symmetric, and
 ``isotopic`` decides it by a search between the two presentations.
 
-``exchange_canonical`` returns the least presentation of a diagram's
-exchange class, walked by ``class_words`` over the same symmetric moves,
-so it is a property of the class: every presentation has the same form.
-``_CANON_MEMO`` only caches it. Canonical forms serve only the bundle
-authoring tool; no proof step is checked through them.
+``exchange_walk`` is the one walk over an exchange class: lazy and
+breadth-first from a given word. The region scanner that resolves step
+positions walks it, and ``class_words`` lists it whole for the callers
+that need every presentation at once (canonical forms and the
+confluence probe). ``exchange_canonical`` returns the least presentation
+of a diagram's exchange class, so it is a property of the class: every
+presentation has the same form. ``_CANON_MEMO`` only caches it.
+Canonical forms serve only the bundle authoring tool; no proof step is
+checked through them.
 
 Token order convention: in a one-cell string the leftmost token is the first
 applied. ``star_lift`` therefore reverses a base path, ``shriek_lift``
@@ -287,33 +291,7 @@ class DescentCell:
         return self.name
 
 
-@dataclass(frozen=True)
-class MacroCell:
-    """A folded occurrence of a named macro, with its declared boundary.
-
-    Folded macros exist only inside proof scripts (the non-primitive
-    vertices of a derivation); unfold steps replace them by their expansion.
-    """
-
-    name: str
-    args: tuple
-    src: OneCellPath
-    tgt: OneCellPath
-
-    def __repr__(self):
-        shown = ",".join(_macro_arg_repr(a) for a in self.args)
-        return f"{self.name}({shown})" if shown else self.name
-
-
-def _macro_arg_repr(a):
-    if isinstance(a, PullbackSquare):
-        return a.label
-    if isinstance(a, ArrowGen):
-        return a.name
-    return repr(a)
-
-
-GenTwoCell = Coherence | Unit | Counit | SquareInv | DescentCell | MacroCell
+GenTwoCell = Coherence | Unit | Counit | SquareInv | DescentCell
 
 
 def generator_boundary(g: GenTwoCell) -> tuple[OneCellPath, OneCellPath]:
@@ -347,8 +325,6 @@ def _generator_boundary(g: GenTwoCell) -> tuple[OneCellPath, OneCellPath]:
             f1, f2 = g.aux
             return cells(TERMINAL, x, Star(f1), Shriek(f2)), cells(TERMINAL, x)
         raise InvalidGenerator(f"unknown descent cell {g.name}")
-    if isinstance(g, MacroCell):
-        return g.src, g.tgt
     raise InvalidGenerator(f"unknown generator {g!r}")
 
 
@@ -386,7 +362,7 @@ class Signature:
                 raise InvalidGenerator(f"unknown extension {self.extension!r}")
             if self.f is None or self.obj is None:
                 raise InvalidGenerator("an extension needs its arrow and object")
-            if self.extension in ("DD", "AC") and self.pair is None:
+            if self.extension in ("DD", "AC") and len(self.pair or ()) != 2:
                 raise InvalidGenerator(f"extension {self.extension} needs kernel-pair projections")
 
     def descent_generator(self) -> DescentCell:
@@ -414,8 +390,6 @@ def validate_generator(sig: Signature, g: GenTwoCell) -> None:
             )
         if g != sig.descent_generator():
             raise InvalidGenerator(f"generator {g!r} does not match the extension parameters")
-    elif isinstance(g, MacroCell):
-        pass  # folded macros are validated when unfolded
     else:
         raise InvalidGenerator(f"unknown generator {g!r}")
 
@@ -596,21 +570,27 @@ def compact_word(layers: tuple[Layer, ...]) -> tuple:
     return tuple((l._gid, l.offset) for l in layers)
 
 
-def class_words(word: tuple) -> list:
-    """Every word of ``word``'s exchange class, in breadth-first discovery
-    order over ``exchanges`` from ``word`` itself. Nothing is cached: the
+def exchange_walk(word: tuple):
+    """Every word of ``word``'s exchange class, lazily, in breadth-first
+    discovery order over ``exchanges`` from ``word`` itself. A word's
+    neighbours are generated only once the caller asks for the next word,
+    so a caller that stops early walks no further. Nothing is cached: the
     same start word always gives the same words in the same order, and
     every start word of a class gives the same set."""
     seen = {word}
-    order = [word]
     frontier = deque([word])
     while frontier:
-        for nxt in exchanges(frontier.popleft()):
+        cur = frontier.popleft()
+        yield cur
+        for nxt in exchanges(cur):
             if nxt not in seen:
                 seen.add(nxt)
-                order.append(nxt)
                 frontier.append(nxt)
-    return order
+
+
+def class_words(word: tuple) -> list:
+    """The whole of ``exchange_walk(word)``, as a list."""
+    return list(exchange_walk(word))
 
 
 def exchanges(word: tuple):

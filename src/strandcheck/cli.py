@@ -2,7 +2,7 @@
 
 Commands: check, verify-benabou-roubaud, export-bundle, normalize,
 render, probe-confluence, model-check. Exit codes: 0 success, 1
-verification failure, 2 usage or parse error.
+verification failure, 2 usage, parse or unsupported-input error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .descent import (
     verify_theorem,
 )
 from .errors import ParseError, StrandcheckError
-from .finmodel import oracle_claims
+from .finmodel import oracle_claims, unrealized
 from .parser import (
     format_diagram_block,
     format_script_file,
@@ -238,6 +238,11 @@ def cmd_model_check(args) -> int:
                      "warning": "0 instances"},
               ["warning: 0 instances, the oracle checked nothing"])
         return EXIT_OK
+    for s in sf.scripts:
+        for d in (s.claim_lhs, s.claim_rhs):
+            if (missing := unrealized(d)) is not None:
+                raise ParseError(f"the claim of {s.name} uses {missing}, which "
+                                 f"the built-in kernel-pair instances do not realize")
     results = oracle_claims([(s.claim_lhs, s.claim_rhs) for s in sf.scripts],
                             inst_count=args.instances, max_size=args.max_size,
                             seed=args.seed, max_fiber=args.max_fiber)
@@ -346,7 +351,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StrandcheckError as exc:

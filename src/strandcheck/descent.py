@@ -61,7 +61,6 @@ from .calculus import (
     identity_cells,
     identity_diagram,
     single,
-    star_lift,
     vcompose,
     whisker,
 )

@@ -51,7 +51,6 @@ from .calculus import (
     DescentCell,
     Diagram,
     GenTwoCell,
-    MacroCell,
     ObjTok,
     OneCellPath,
     OneCellToken,
@@ -188,6 +187,22 @@ def validate_instance(inst: FinInstance) -> None:
 def _descent_base() -> BasePresentation:
     from .descent import builtin_descent_base
     return builtin_descent_base()
+
+
+def unrealized(d: Diagram) -> Optional[str]:
+    """The first object or arrow of ``d`` that the instances of
+    ``make_instance`` do not realize, or None: the oracle can interpret
+    ``d`` only when they realize every one. Each object of a string is an
+    end of the string or an end of one of its arrows."""
+    base = _descent_base()
+    for path in (d.source, d.target, *(p for l in d.layers for p in l.boundary())):
+        for obj in (path.dom.obj, path.cod.obj):
+            if obj is not None and obj not in base.objects:
+                return f"object {obj}"
+        for t in path.tokens:
+            if not isinstance(t, ObjTok) and t.arrow not in base.arrows:
+                return f"arrow {t.arrow!r}"
+    return None
 
 
 def make_instance(A, B, f: Union[Mapping, Callable]) -> FinInstance:
@@ -366,10 +381,6 @@ def _generator_step(g: GenTwoCell, inst: FinInstance, env: Optional[dict]):
             raise TypeMismatch(f"assigned map for {g!r} has the wrong boundary")
         components = m.components
         return lambda x, v: components[x][v]
-    if isinstance(g, MacroCell):
-        raise InvalidGenerator(
-            f"folded macro {g!r} has no extensional interpretation; unfold it first"
-        )
     raise InvalidGenerator(f"unknown generator {g!r}")
 
 

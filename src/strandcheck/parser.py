@@ -58,7 +58,6 @@ from .calculus import (
     Diagram,
     FiberSym,
     Layer,
-    MacroCell,
     ObjTok,
     OneCellPath,
     Shriek,
@@ -68,7 +67,6 @@ from .calculus import (
     TERMINAL,
     Unit,
     fiber,
-    from_layers,
     identity_diagram,
 )
 from .errors import ParseError, StrandcheckError
@@ -76,8 +74,6 @@ from .rewrite import (
     Axiom,
     Canonical,
     FibCoherence,
-    MacroFold,
-    MacroUnfold,
     PriorEquality,
     ProofScript,
     ProofStep,
@@ -139,8 +135,6 @@ def format_generator(g) -> str:
         return f"bcbar({g.square.label})"
     if isinstance(g, DescentCell):
         return g.name
-    if isinstance(g, MacroCell):
-        raise ParseError(f"folded macro {g.name} has no text form; unfold it first")
     raise ParseError(f"generator {g!r} has no text form")
 
 
@@ -177,10 +171,6 @@ def format_binding(pairs: tuple) -> str:
 def format_justification(j) -> str:
     if isinstance(j, Rule):
         return f"rule {j.name}({format_binding(j.binding)}) {j.direction}"
-    if isinstance(j, MacroUnfold):
-        return f"macro unfold {j.name}({format_binding(j.binding)})"
-    if isinstance(j, MacroFold):
-        return f"macro fold {j.name}({format_binding(j.binding)})"
     if isinstance(j, Axiom):
         return f"axiom {j.name} {j.direction}"
     if isinstance(j, PriorEquality):
@@ -363,6 +353,8 @@ class _FileParser:
             dom = self.parse_fiber(text[3:-1])
             return OneCellPath(dom, ())
         tokens = tuple(self.parse_token(w) for w in text.split())
+        if not tokens:
+            self.fail("empty one-cell string; an identity is written id(<object>)")
         return OneCellPath(tokens[0].dom, tokens)
 
     def parse_generator(self, text: str):
@@ -429,6 +421,8 @@ class _FileParser:
         if text.startswith("coherence(") and text.endswith(")"):
             return FibCoherence(self.parse_region(text[10:-1]))
         words = text.split(None, 1)
+        if not words:
+            self.fail("step needs a justification")
         head = words[0]
         rest = words[1].strip() if len(words) > 1 else ""
         if head in ("axiom", "prior"):
@@ -439,42 +433,28 @@ class _FileParser:
                 return Axiom(parts[0], parts[1])
             return PriorEquality(parts[0], parts[1])
         if head == "rule":
-            name, binding, direction = self._parse_call(rest, want_direction=True)
-            return Rule(name, binding, direction)
-        if head == "macro":
-            kind, call = rest.split(None, 1)
-            name, binding, _ = self._parse_call(call, want_direction=False)
-            if kind == "unfold":
-                return MacroUnfold(name, binding)
-            if kind == "fold":
-                return MacroFold(name, binding)
-            self.fail(f"unknown macro step kind {kind!r}")
+            return self._parse_rule(rest)
         self.fail(f"unknown justification {text!r}")
 
-    def _parse_call(self, text: str, want_direction: bool):
+    def _parse_rule(self, text: str) -> Rule:
         open_at = text.find("(")
         close_at = text.rfind(")")
         if open_at < 0 or close_at < open_at:
             self.fail(f"malformed call {text!r}")
         name = text[:open_at].strip()
         binding = self.parse_binding(text[open_at + 1 : close_at])
-        tail = text[close_at + 1 :].strip()
-        if want_direction:
-            if tail not in ("fwd", "bwd"):
-                self.fail(f"rule call needs fwd or bwd, got {tail!r}")
-            return name, binding, tail
-        if tail:
-            self.fail(f"unexpected trailing text {tail!r}")
-        return name, binding, None
+        direction = text[close_at + 1 :].strip()
+        if direction not in ("fwd", "bwd"):
+            self.fail(f"rule call needs fwd or bwd, got {direction!r}")
+        return Rule(name, binding, direction)
 
     # -- sections ----------------------------------------------------------
 
     def run(self) -> ScriptFile:
-        section = None
-        section_arg = None
+        section = section_arg = section_line = None
         body: list = []
-        for raw in self.lines:
-            self.lineno += 1
+        for lineno, raw in enumerate(self.lines, 1):
+            self.lineno = lineno
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -482,10 +462,10 @@ class _FileParser:
                 if not line.endswith("]"):
                     self.fail(f"malformed section header {line!r}")
                 if section is not None:
-                    self._close_section(section, section_arg, body)
-                header = line[1:-1].strip()
-                words = header.split(None, 1)
-                section = words[0]
+                    self._close_section(section, section_arg, section_line, body)
+                    self.lineno = lineno
+                words = line[1:-1].strip().split(None, 1) or [""]
+                section, section_line = words[0], lineno
                 section_arg = words[1] if len(words) > 1 else None
                 if section not in ("base", "signature", "macros",
                                    "diagram", "script"):
@@ -498,14 +478,16 @@ class _FileParser:
                     self.fail("content before the first section header")
                 body.append((self.lineno, line))
         if section is not None:
-            self._close_section(section, section_arg, body)
+            self._close_section(section, section_arg, section_line, body)
         if self.base is None:
             raise ParseError("missing [base] section")
         if self.signature is None:
             self.signature = Signature(self.base)
         return ScriptFile(self.base, self.signature, self.diagrams, self.scripts)
 
-    def _close_section(self, section, arg, body):
+    def _close_section(self, section, arg, line, body):
+        """Finish a section; an error in its header is reported at ``line``."""
+        self.lineno = line
         handler = {
             "base": self._finish_base,
             "signature": self._finish_signature,

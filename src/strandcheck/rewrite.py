@@ -6,16 +6,17 @@ comparison-cell invertibility) together with three derived rules
 (coherence invertibility, generalized whiskering, horizontal pasting).
 Proof scripts rewrite a claim's left-hand side step by step into its
 right-hand side. One kernel, ``apply_step``, checks every positioned
-step: ``_blocks_at`` resolves the position by a breadth-first search over
-exchange from the diagram as stated, each block found is compared with
-the pattern, the replacement is spliced in between the strings
+step: ``_blocks_at`` resolves the position, each block found is compared
+with the pattern, the replacement is spliced in between the strings
 ``extract_block`` cut beside the block, and the outcome is compared with
 the stated result with ``isotopic``, all modulo exchange of layers only.
-No step is checked through a canonical form. The confluence probe
-(``oriented_successors``) and the region scanner ``_scan_regions``, which
-serves only the authoring tool ``DerivationBuilder``, walk exchange
-classes with ``class_words``, over the same symmetric moves; only the
-authoring tool takes canonical forms.
+No step is checked through a canonical form. Positions are resolved by
+one region scanner, ``_scan_regions``, which walks ``exchange_walk``
+lazily from the diagram it is given; ``_blocks_at`` is its call with
+every region field fixed, and the authoring tool ``DerivationBuilder``
+calls it with some fields free. Only the authoring tool takes canonical
+forms, and the confluence probe (``oriented_successors``) lists whole
+classes with ``class_words``, the same walk.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .calculus import (
     Counit,
     Diagram,
     Layer,
-    MacroCell,
     OneCellPath,
     Shriek,
     Signature,
@@ -55,7 +55,7 @@ from .calculus import (
     compact_word,
     concat_cells,
     exchange_canonical,
-    exchanges,
+    exchange_walk,
     expand_word,
     fiber,
     from_layers,
@@ -371,13 +371,6 @@ def expand_macro(sig: Signature, name: str, binding: dict) -> Diagram:
         raise InvalidBinding(f"macro {name}: missing parameter {exc}") from None
 
 
-def fold_macro(sig: Signature, name: str, binding: dict) -> Diagram:
-    """The single-layer diagram holding the folded macro cell."""
-    expansion = expand_macro(sig, name, binding)
-    args = tuple(sorted(binding.items()))
-    return single(MacroCell(name, args, expansion.source, expansion.target))
-
-
 # ---------------------------------------------------------------------------
 # normalization of the coherence-only fragment
 
@@ -671,18 +664,6 @@ class Rule:
 
 
 @dataclass(frozen=True)
-class MacroUnfold:
-    name: str
-    binding: tuple
-
-
-@dataclass(frozen=True)
-class MacroFold:
-    name: str
-    binding: tuple
-
-
-@dataclass(frozen=True)
 class FibCoherence:
     result_region: Region
 
@@ -704,7 +685,7 @@ class Canonical:
     pass
 
 
-Justification = Rule | MacroUnfold | MacroFold | FibCoherence | Axiom | PriorEquality | Canonical
+Justification = Rule | FibCoherence | Axiom | PriorEquality | Canonical
 
 
 @dataclass(frozen=True)
@@ -722,10 +703,6 @@ class ProofScript:
     claim_rhs: Diagram
     steps: list[ProofStep]
     deps: tuple[str, ...] = ()
-
-
-def binding_dict(pairs: tuple) -> dict:
-    return dict(pairs)
 
 
 def binding_key(binding: dict) -> tuple:
@@ -788,13 +765,7 @@ class CheckerSession:
         """The (pattern, replacement) pair named by a justification."""
         if isinstance(just, Rule):
             lhs, rhs = instantiate_rule(self.signature, just.name,
-                                        binding_dict(just.binding))
-        elif isinstance(just, MacroUnfold):
-            lhs = fold_macro(self.signature, just.name, binding_dict(just.binding))
-            rhs = expand_macro(self.signature, just.name, binding_dict(just.binding))
-        elif isinstance(just, MacroFold):
-            rhs = fold_macro(self.signature, just.name, binding_dict(just.binding))
-            lhs = expand_macro(self.signature, just.name, binding_dict(just.binding))
+                                        dict(just.binding))
         elif isinstance(just, Axiom):
             if just.name not in AXIOM_NAMES:
                 raise InvalidBinding(f"unknown axiom {just.name}")
@@ -816,36 +787,38 @@ class CheckerSession:
         return lhs, rhs
 
 
-def _scan_regions(d: Diagram, height: Optional[int] = None,
+def _scan_regions(d: Diagram, lo: Optional[int] = None,
+                  height: Optional[int] = None, strand: Optional[int] = None,
                   width: Optional[int] = None, coherence_only: bool = False):
     """(representative, region, block) for every region that extracts cleanly.
 
-    The authoring tool's scanner; proof checking resolves positions with
-    ``_blocks_at``. Scans every word of ``class_words`` from the canonical
-    form of ``d``, in walk order, so the order depends on ``d``'s class
-    alone; in each word, layer ranges top to bottom (shorter first), then
-    strands left to right (narrower first).
-    ``height`` and ``width`` fix the region's layer count and strand
-    count; None leaves them free. With ``coherence_only`` only ranges of
-    coherence layers are scanned. Regions are tried on compact words with
-    ``region_misfit``, the one rule of fit, so a word is expanded only
-    once a region fits, and at most once: every region of one presentation
-    shares one representative object.
+    The one region scanner, for checking and authoring alike. It walks
+    ``exchange_walk`` from ``d``'s own word, lazily, so a caller that stops
+    at the first block it can use walks no further; in each word, layer
+    ranges top to bottom (shorter first), then strands left to right
+    (narrower first). ``lo``, ``height``, ``strand`` and ``width`` fix the
+    region's first layer, layer count, first strand and strand count; None
+    leaves them free. With ``coherence_only`` only ranges of coherence
+    layers are scanned. Regions are tried on compact words with
+    ``region_misfit``, the one rule of fit, and fixed values reach it
+    unfiltered, so a word is expanded only once a region fits, and at most
+    once: every region of one presentation shares one representative.
     """
-    words = class_words(compact_word(exchange_canonical(d).layers))
     top_width, n_l = len(d.source), len(d.layers)  # every word has n_l layers
-    spans = [(l, l + h) for l in range(n_l + 1)
+    spans = [(l, l + h) for l in _sizes(lo, 0, n_l)
              for h in _sizes(height, 1, n_l - l)]
-    for word in words:
-        widths = word_widths(word, top_width)
+    for word in exchange_walk(compact_word(d.layers)):
+        widths = (word_widths(word, top_width)
+                  if strand is None or width is None else ())
         rep = None
         for l, hi in spans:
             if coherence_only and not all(
                     isinstance(word_generator(g), Coherence)
                     for g, _ in word[l:hi]):
                 continue
-            room = widths[l]
-            for s in range(room + 1):
+            # a fixed l outside the word is never an index
+            room = widths[l] if 0 <= l < len(widths) else -1
+            for s in _sizes(strand, 0, room):
                 for w in _sizes(width, 0, room - s):
                     if region_misfit(word, top_width, l, hi, s, w) is None:
                         if rep is None:
@@ -862,31 +835,12 @@ def _sizes(fixed: Optional[int], least: int, most: int):
 
 
 def _blocks_at(d: Diagram, region: Region):
-    """(representative, block) pairs where the region extracts cleanly.
-
-    A position names a contiguous sub-block in some presentation of the
-    diagram's exchange class. The presentations are searched breadth-first
-    over ``exchanges`` from ``d``'s own word, lazily, so a caller that
-    stops at the first block it can use walks no further. A word is
-    expanded to layers only once ``region_misfit`` lets the region fit.
-    """
-    top_width = len(d.source)
-    start = compact_word(d.layers)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        grown = []
-        for word in frontier:
-            if region_misfit(word, top_width, region.lo, region.hi,
-                             region.strand, region.width) is None:
-                rep = Diagram(d.source, d.target, expand_word(d.source, word))
-                block, _ = extract_block(rep, region)
-                yield rep, block
-            for nxt in exchanges(word):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    grown.append(nxt)
-        frontier = grown
+    """(representative, block) pairs where the region extracts cleanly: the
+    scanner with every field of the region fixed. A position names a
+    contiguous sub-block in some presentation of the diagram's exchange
+    class, searched from the diagram as stated."""
+    yield from ((rep, block) for rep, _, block in _scan_regions(
+        d, region.lo, region.hi - region.lo, region.strand, region.width))
 
 
 def _pure_chi(d: Diagram) -> bool:
@@ -897,7 +851,7 @@ def apply_step(session: CheckerSession, d: Diagram, step: ProofStep) -> Diagram:
     """Validate one proof step against ``d`` and return its result.
 
     A positioned step is one pass over the blocks at its region. A block
-    matches the named pattern (rule, axiom, prior equality or macro) or,
+    matches the named pattern (rule, axiom or prior equality) or,
     for a coherence step, any coherence-only block; each replacement with
     the block's boundary is spliced in and compared with the stated
     result. A coherence step's replacements are the coherence-only blocks
@@ -984,8 +938,11 @@ class DerivationBuilder:
 
     Each tactic finds the first position (scanning layer ranges
     top-to-bottom, strands left-to-right) where the requested pattern
-    occurs in the current canonical diagram, applies it, and records the
-    fully positioned step for later re-checking.
+    occurs in the current diagram, applies it, and records the fully
+    positioned step for later re-checking. The current diagram is always
+    a canonical form: the claim's left side is canonicalized once, and
+    every step result is canonical. So every scan walks from a canonical
+    word, and the steps found depend on the diagram's class alone.
     """
 
     def __init__(self, session: CheckerSession, name: str,
@@ -996,7 +953,7 @@ class DerivationBuilder:
         self.claim_rhs = claim_rhs
         self.deps = deps
         self.steps: list[ProofStep] = []
-        self.current = claim_lhs
+        self.current = exchange_canonical(claim_lhs)
 
     def _find_and_apply(self, just: Justification, skip: int = 0):
         pattern, replacement = self.session.pattern_pair(just)
@@ -1019,7 +976,7 @@ class DerivationBuilder:
             return self
         raise PatternNotFound(
             f"{self.name}: no occurrence of the pattern for {just!r} "
-            f"(skip={skip}) in\n{exchange_canonical(self.current)!r}"
+            f"(skip={skip}) in\n{self.current!r}"
         )
 
     def rule(self, name: str, direction: str = "fwd", skip: int = 0, **binding):
@@ -1033,9 +990,8 @@ class DerivationBuilder:
 
     def coherence(self, region: Region, replacement: Diagram):
         """Replace the pure-coherence block at ``region`` by ``replacement``."""
-        c = exchange_canonical(self.current)
         spliced = None
-        for rep, block in _blocks_at(c, region):
+        for rep, block in _blocks_at(self.current, region):
             if (_pure_chi(block) and block.source == replacement.source
                     and block.target == replacement.target):
                 spliced = splice_block(rep, region, replacement)
@@ -1063,15 +1019,15 @@ class DerivationBuilder:
         boundary matches the replacement and whose substitution changes the
         diagram; ``skip`` passes over earlier distinct outcomes.
         """
-        c = exchange_canonical(self.current)
         seen = []
         for rep, region, block in _scan_regions(
-                c, width=len(replacement.source), coherence_only=True):
+                self.current, width=len(replacement.source),
+                coherence_only=True):
             if (block.source != replacement.source
                     or block.target != replacement.target):
                 continue
             result = exchange_canonical(splice_block(rep, region, replacement))
-            if result == c or result in seen:
+            if result == self.current or result in seen:
                 continue
             seen.append(result)
             if len(seen) <= skip:
@@ -1110,7 +1066,7 @@ class DerivationBuilder:
     def finish(self) -> ProofScript:
         if not isotopic(self.current, self.claim_rhs):
             raise ResultMismatch(
-                f"{self.name}: derivation ends at\n{exchange_canonical(self.current)!r}\n"
+                f"{self.name}: derivation ends at\n{self.current!r}\n"
                 f"but the claim is\n{exchange_canonical(self.claim_rhs)!r}"
             )
         return ProofScript(self.name, self.session.signature, self.claim_lhs,

@@ -22,7 +22,6 @@ from strandcheck.calculus import (
     DescentCell,
     Diagram,
     GenTwoCell,
-    MacroCell,
     OneCellPath,
     OneCellToken,
     Shriek,
@@ -153,8 +152,6 @@ def interpret_generator(
                 or m.dst != interpret_path(gt, inst, x, env)):
             raise TypeMismatch(f"assigned map for {g!r} has the wrong boundary")
         return m
-    if isinstance(g, MacroCell):
-        raise InvalidGenerator(f"folded macro {g!r} has no extensional interpretation")
     raise InvalidGenerator(f"unknown generator {g!r}")
 
 

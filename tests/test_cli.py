@@ -100,6 +100,69 @@ def test_check_malformed_header_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+_IDENTITY_SCRIPT = ("[diagram d0 : id(B) => id(B)]\n\n"
+                    "[script s]\nclaim d0 = d0\n")
+
+# (command, text after the built-in [base] section, the start of the line
+# the error names or None, a fragment of the message). Each of these
+# raised a traceback or, for the macro steps, read as a wrong proof.
+_BAD_INPUTS = [
+    pytest.param("check", "[diagram d0 :  => id(B)]\n", "[diagram d0",
+                 "empty one-cell string", id="empty-boundary-string"),
+    pytest.param("check", "[diagram d0 : id(B) => f! f*]\n"
+                 "layer  | eta(f) | id(B)\n", "layer",
+                 "empty one-cell string", id="empty-whisker-string"),
+    pytest.param("check", _IDENTITY_SCRIPT + "step -> d0\n", "step",
+                 "step needs a justification", id="step-without-justification"),
+    pytest.param("check", _IDENTITY_SCRIPT + "step macro fold BC(square=P1)"
+                 " @ layers:0..3, strand:0, width:2 -> d0\n", "step",
+                 "unknown justification", id="macro-fold-step"),
+    pytest.param("check", _IDENTITY_SCRIPT + "step macro unfold BC(square=P1)"
+                 " @ layers:0..1, strand:0, width:2 -> d0\n", "step",
+                 "unknown justification", id="macro-unfold-step"),
+    pytest.param("check", "[]\n", "[]", "unknown section", id="empty-header"),
+    pytest.param("check", "[signature]\nextension DD\narrow f\n"
+                 "object X @ B\npair f1\n\n[diagram d0 : X@B f1* => X@B f2*]\n"
+                 "layer id(1) | phi | id(Q)\n", "pair",
+                 "needs kernel-pair projections", id="one-projection"),
+    pytest.param("check", "# caf\xe9\n", None, "can't decode",
+                 id="latin-1-bytes"),
+]
+
+
+@pytest.mark.parametrize("command, body, named, message", _BAD_INPUTS)
+def test_bad_input_exits_2_with_a_message(command, body, named, message,
+                                          base_text, tmp_path, capsys):
+    text = base_text + "\n\n" + body
+    path = tmp_path / "bad.strand"
+    path.write_bytes(text.encode("latin-1"))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert message in err
+    if named is not None:
+        line = next(i for i, l in enumerate(text.split("\n"), 1)
+                    if l.startswith(named))
+        assert err.startswith(f"error: line {line}: "), err
+
+
+def test_model_check_outside_the_builtin_base_exits_2(tmp_path, capsys):
+    """A claim over an object the oracle's instances do not realize is
+    unsupported input; a file that only declares one still model-checks."""
+    path = tmp_path / "other.strand"
+    path.write_text("[base]\nobject A\nobject C\narrow g : C -> A\n\n"
+                    "[diagram e : g* => g*]\n\n[script s]\nclaim e = e\n")
+    assert main(["model-check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: the claim of s uses object C")
+    path.write_text("[base]\nobject A\nobject B\narrow g : B -> A\n\n"
+                    "[diagram e : id(B) => id(B)]\n\n[script s]\n"
+                    "claim e = e\n")
+    assert main(["model-check", str(path)]) == 0
+    assert capsys.readouterr().out == "s: Verified\n"
+
+
 def test_check_missing_file_exits_2(tmp_path):
     assert main(["check", str(tmp_path / "nope.strand")]) == 2
 

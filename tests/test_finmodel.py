@@ -13,7 +13,6 @@ from strandcheck.calculus import (
     Counit,
     DescentCell,
     Layer,
-    MacroCell,
     OneCellPath,
     Shriek,
     SquareInv,
@@ -44,7 +43,6 @@ from strandcheck.descent import (
 from strandcheck.errors import (
     BoundaryMismatch,
     EnvMissing,
-    InvalidGenerator,
     RelationViolated,
     TypeMismatch,
 )
@@ -255,14 +253,6 @@ def test_interpretation_is_functorial(inst, names):
     m2 = interpret_diagram(d2, inst, input_family=x)
     composite = interpret_diagram(vcompose(d1, d2), inst, input_family=x)
     assert composite == compose_maps(m1, m2)
-
-
-def test_macro_cell_not_interpretable(inst, names):
-    mac = MacroCell("mystery", (), cells(fiber(names.B)),
-                    cells(fiber(names.B)))
-    d = single(mac)
-    with pytest.raises(InvalidGenerator):
-        interpret_diagram(d, inst, input_family=_family_over_b(inst))
 
 
 def test_missing_input_family(inst, names):

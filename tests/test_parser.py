@@ -1,11 +1,16 @@
 """The proof-script text format: printing, parsing, round-trips."""
 
+import typing
+
 import pytest
 
 from strandcheck.calculus import (
     Coherence,
+    Counit,
+    GenTwoCell,
     ObjTok,
     Shriek,
+    SquareInv,
     Star,
     TERMINAL,
     Unit,
@@ -18,11 +23,14 @@ from strandcheck.descent import (
     axiom_equations,
     builtin_descent_base,
     bundled_scripts,
+    signature_for,
 )
 from strandcheck.errors import ParseError
 from strandcheck.parser import (
     format_base_block,
+    format_diagram_block,
     format_path,
+    format_signature_block,
     format_script_file,
     parse_script_file,
     script_file_for,
@@ -114,6 +122,24 @@ layer id(A) | eps(f) | f*
     assert isinstance(zgens[0], Unit) and zgens[0].arrow == names.f
 
 
+def test_every_generator_kind_roundtrips(names):
+    """Each kind of two-cell generator prints to a layer line that parses
+    back to the same generator, so no kind lacks a text form."""
+    plain = signature_for(None, names.base)
+    cases = [(plain, g) for g in (Coherence(names.pt_P1), Unit(names.f),
+                                  Counit(names.f), SquareInv(names.P1))]
+    for kind in ("TA", "DD", "AC"):
+        sig = signature_for(kind, names.base)
+        cases.append((sig, sig.descent_generator()))
+    assert {type(g) for _, g in cases} == set(typing.get_args(GenTwoCell))
+    for sig, g in cases:
+        text = "\n".join(format_base_block(names.base)
+                         + format_signature_block(sig)
+                         + format_diagram_block("d", single(g))) + "\n"
+        (layer,) = parse_script_file(text).diagrams["d"].layers
+        assert layer.gen == g
+
+
 def test_descent_generator_requires_matching_extension(names):
     text = _base_text(names) + """
 
@@ -136,6 +162,17 @@ def test_parse_errors_carry_line_numbers(names):
         parse_script_file(text)
     assert err.value.line is not None
     assert "line" in str(err.value)
+
+
+def test_parse_errors_name_their_own_line(bundles):
+    """The line number of an error deep in a file is the line it is on:
+    the blank lines and sections before it do not shift it."""
+    lines = format_script_file(script_file_for(bundles["TA"])).split("\n")
+    at = max(i for i, l in enumerate(lines) if "| eta(f) |" in l)
+    lines[at] = lines[at].replace("eta(f)", "eta(zz)")
+    with pytest.raises(ParseError) as err:
+        parse_script_file("\n".join(lines))
+    assert err.value.line == at + 1 and "zz" in str(err.value)
 
 
 @pytest.mark.parametrize("mutation,needle", [

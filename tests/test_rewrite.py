@@ -73,7 +73,6 @@ from strandcheck.rewrite import (
     decide_fib_equal,
     expand_macro,
     extract_block,
-    fold_macro,
     instantiate_rule,
     mate2_expansion,
     mate_expansion,
@@ -265,15 +264,6 @@ def test_mate_rejects_empty_sides(base):
     B = base.object_by_name("B")
     with pytest.raises(InvalidBinding):
         mate_expansion(PolygonType(empty_path(B), empty_path(B)))
-
-
-def test_fold_macro_matches_expansion_boundary(sig, base):
-    sq = base.square("P1")
-    folded = fold_macro(sig, "BC", {"square": sq})
-    expanded = expand_macro(sig, "BC", {"square": sq})
-    assert folded.source == expanded.source
-    assert folded.target == expanded.target
-    assert len(folded.layers) == 1
 
 
 def test_unknown_macro_rejected(sig):
