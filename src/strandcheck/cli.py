@@ -102,17 +102,20 @@ def _input_files(paths: list) -> list:
 
 
 def cmd_check(args) -> int:
-    groups: list = []  # (signature, scripts)
+    groups: list = []  # (signature, scripts, file of each script name)
     for path in _input_files(args.files):
         sf = parse_script_file(path.read_text(encoding="utf-8"))
-        for group in groups:
-            if group[0] == sf.signature:
-                group[1].extend(sf.scripts)
-                break
-        else:
-            groups.append((sf.signature, list(sf.scripts)))
+        group = next((g for g in groups if g[0] == sf.signature), None)
+        if group is None:
+            groups.append(group := (sf.signature, [], {}))
+        for script in sf.scripts:  # one session checks a group: names differ
+            if script.name in group[2]:
+                raise ParseError(f"{path}: script {script.name!r} is already "
+                                 f"defined in {group[2][script.name]}")
+            group[2][script.name] = path
+        group[1].extend(sf.scripts)
     reports = []
-    for sig, scripts in groups:
+    for sig, scripts, _ in groups:
         session = session_for(sig)
         for script in _dependency_order(scripts):
             reports.append(check_script(session, script))

@@ -64,7 +64,7 @@ from .calculus import (
     vcompose,
     whisker,
 )
-from .errors import InvalidBinding
+from .errors import ParseError, StrandcheckError
 from .parser import parse_script_file
 from .rewrite import (
     CheckReport,
@@ -73,8 +73,6 @@ from .rewrite import (
     ProofScript,
     bc_expansion,
     check_script,
-    expand_macro,
-    macro,
     mate2_expansion,
 )
 
@@ -181,27 +179,9 @@ def muprime(base: BasePresentation) -> Diagram:
 
 def monad_mu(base: BasePresentation) -> Diagram:
     """The monad multiplication: the counit inside the monad string."""
-    return expand_macro(Signature(base), "mu", {"arrow": _Names(base).f})
-
-
-@macro("etaprime")
-def _macro_etaprime(sig, binding):
-    return etaprime(sig.base)
-
-
-@macro("muprime")
-def _macro_muprime(sig, binding):
-    return muprime(sig.base)
-
-
-@macro("k1")
-def _macro_k1(sig, binding):
-    return mate2_expansion(_Names(sig.base).j_i_pt(1))
-
-
-@macro("k2")
-def _macro_k2(sig, binding):
-    return mate2_expansion(_Names(sig.base).j_i_pt(2))
+    f = _Names(base).f
+    return single(Counit(f), cells(fiber(f.src), Shriek(f)),
+                  cells(fiber(f.dst), Star(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +256,18 @@ class AxiomEquation:
 
 def axiom_equations(kind: str, base: Optional[BasePresentation] = None) -> list[AxiomEquation]:
     """The two defining equations of one extension's structure cell."""
-    base = base if base is not None else builtin_descent_base()
+    return _signature_axioms(signature_for(kind, base))
+
+
+def _signature_axioms(sig: Signature) -> list[AxiomEquation]:
+    """The two defining equations of ``sig``'s structure cell, stated with
+    its own object token over the kernel-pair names of its base."""
+    base = sig.base
     n = _Names(base)
-    sig = signature_for(kind, base)
-    gen = sig.descent_generator()
-    g = single(gen)
+    g = single(sig.descent_generator())
     eB, eQ = fiber(n.B), fiber(n.Q)
-    xs = cells(TERMINAL, n.x)
-    if kind == "TA":
+    xs = cells(TERMINAL, sig.obj)
+    if sig.extension == "TA":
         eta_x = from_layers([Layer(xs, Unit(n.f), identity_cells(eB))])
         ta1 = AxiomEquation("TA1", vcompose(eta_x, g), identity_diagram(xs))
         mu_x = whisker("left", xs, monad_mu(base))
@@ -293,7 +277,7 @@ def axiom_equations(kind: str, base: Optional[BasePresentation] = None) -> list[
             vcompose(whisker("right", cells(eB, Shriek(n.f), Star(n.f)), g), g),
         )
         return [ta1, ta2]
-    if kind == "DD":
+    if sig.extension == "DD":
         d1_x = from_layers([Layer(xs, Coherence(n.d_pt(1)), identity_cells(eB))])
         d2inv_x = from_layers([Layer(xs, Coherence(opposite(n.d_pt(2))),
                                      identity_cells(eB))])
@@ -311,50 +295,29 @@ def axiom_equations(kind: str, base: Optional[BasePresentation] = None) -> list[
                        j2_x)
         dd2 = AxiomEquation("DD2", lhs, rhs)
         return [dd1, dd2]
-    if kind == "AC":
-        ac1 = AxiomEquation("AC1", vcompose(whisker("left", xs, etaprime(base)), g),
-                            identity_diagram(xs))
-        ac2 = AxiomEquation(
-            "AC2",
-            vcompose(whisker("left", xs, muprime(base)), g),
-            vcompose(whisker("right", cells(eB, Star(n.f1), Shriek(n.f2)), g), g),
-        )
-        return [ac1, ac2]
-    raise InvalidBinding(f"unknown axiom system {kind!r}")
+    ac1 = AxiomEquation("AC1", vcompose(whisker("left", xs, etaprime(base)), g),
+                        identity_diagram(xs))
+    ac2 = AxiomEquation(
+        "AC2",
+        vcompose(whisker("left", xs, muprime(base)), g),
+        vcompose(whisker("right", cells(eB, Star(n.f1), Shriek(n.f2)), g), g),
+    )
+    return [ac1, ac2]
 
 
 def session_for(sig: Signature, disabled_axioms=()) -> CheckerSession:
-    """A checking session for ``sig`` holding its extension's axioms."""
+    """A checking session for ``sig`` holding its extension's axioms; a
+    signature they cannot be stated over is unsupported input (``ParseError``)."""
     axioms = {}
     if sig.extension is not None:
-        axioms = {eq.name: (eq.lhs, eq.rhs)
-                  for eq in axiom_equations(sig.extension, sig.base)}
+        try:
+            equations = _signature_axioms(sig)
+        except StrandcheckError as exc:
+            raise ParseError(f"the {sig.extension} axioms cannot be stated "
+                             f"over this signature: {exc}") from None
+        axioms = {eq.name: (eq.lhs, eq.rhs) for eq in equations}
     return CheckerSession(sig, axioms=axioms,
                           disabled_axioms=set(disabled_axioms))
-
-
-@macro("F_phi")
-def _macro_f_phi(sig, binding):
-    return translate_F(single(sig.descent_generator()), sig.base)
-
-
-@macro("G_beta")
-def _macro_g_beta(sig, binding):
-    return translate_G(single(sig.descent_generator()), sig.base)
-
-
-@macro("H_alpha")
-def _macro_h_alpha(sig, binding):
-    return translate_H(single(sig.descent_generator()), sig.base)
-
-
-def translation_macro(name: str):
-    """The registered macro body for one of the three translations."""
-    if name not in ("F_phi", "G_beta", "H_alpha"):
-        raise InvalidBinding(f"unknown translation macro {name!r}")
-    from .rewrite import _MACROS
-
-    return _MACROS[name]
 
 
 # ---------------------------------------------------------------------------

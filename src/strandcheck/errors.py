@@ -26,7 +26,7 @@ class InvalidGenerator(StrandcheckError):
 
 
 class InvalidBinding(StrandcheckError):
-    """A rule or macro was instantiated with an ill-typed binding."""
+    """A rule was instantiated with an ill-typed binding."""
 
 
 class SideConditionFailed(InvalidBinding):

@@ -190,8 +190,9 @@ def _descent_base() -> BasePresentation:
 
 
 def unrealized(d: Diagram) -> Optional[str]:
-    """The first object or arrow of ``d`` that the instances of
-    ``make_instance`` do not realize, or None: the oracle can interpret
+    """The first object, arrow, object token or descent cell of ``d`` that
+    the instances of ``make_instance`` and the environments of
+    ``free_algebra_env`` do not realize, or None: the oracle can interpret
     ``d`` only when they realize every one. Each object of a string is an
     end of the string or an end of one of its arrows."""
     base = _descent_base()
@@ -200,8 +201,15 @@ def unrealized(d: Diagram) -> Optional[str]:
             if obj is not None and obj not in base.objects:
                 return f"object {obj}"
         for t in path.tokens:
-            if not isinstance(t, ObjTok) and t.arrow not in base.arrows:
+            if isinstance(t, ObjTok):
+                if t != _free_template()[0].x:
+                    return f"object token {t!r}"
+            elif t.arrow not in base.arrows:
                 return f"arrow {t.arrow!r}"
+    for g in (layer.gen for layer in d.layers):
+        if isinstance(g, DescentCell) and g not in _free_template()[1:4]:
+            arrows = ", ".join(a.name for a in (g.f, *g.aux))
+            return f"descent cell {g!r}({arrows})"
     return None
 
 

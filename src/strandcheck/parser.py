@@ -33,6 +33,9 @@ Grammar sketch::
     step coherence(layers:1..2, strand:1, width:2) @ layers:1..4, strand:1, width:2 -> d4
     step canonical -> d5
 
+A v1 file may also hold ``[macros]`` with ``builtin <name>`` lines; they
+are accepted and have no effect.
+
 Pretty-printing a parsed file reproduces it token for token, so parse
 then print then parse is a fixed point.
 """
@@ -79,8 +82,12 @@ from .rewrite import (
     ProofStep,
     Region,
     Rule,
-    _MACROS,
 )
+
+# The names a v1 file may declare in [macros]. The checker has no macros, so
+# a declaration is accepted and has no effect.
+_V1_MACRO_NAMES = ("BC", "mate", "mate2", "mu", "etaprime", "muprime",
+                   "k1", "k2", "F_phi", "G_beta", "H_alpha")
 
 
 @dataclass
@@ -589,7 +596,7 @@ class _FileParser:
                 self.fail(
                     "only 'builtin <name>' declarations are supported in [macros]"
                 )
-            if words[1] not in _MACROS:
+            if words[1] not in _V1_MACRO_NAMES:
                 self.fail(f"unknown builtin macro {words[1]!r}")
 
     def _finish_diagram(self, arg, body):

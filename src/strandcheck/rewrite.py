@@ -1,4 +1,4 @@
-"""Rule schemas, macros, normalization, and the proof-script checker.
+"""Rule schemas, normalization, and the proof-script checker.
 
 The rules are the defining relations of the pseudofunctorial and
 bifibrational term calculi (coherence collapse, adjunction triangles,
@@ -261,7 +261,7 @@ _RULES: dict[str, Callable] = {
 
 
 # ---------------------------------------------------------------------------
-# macros
+# mates and the counit cascade
 
 
 def _eps_cascade(q: Path) -> list[Layer]:
@@ -319,56 +319,6 @@ def mate2_expansion(pt: PolygonType) -> Diagram:
     last = Layer(cells(fiber(g.src), Shriek(g), Shriek(f)), Counit(h),
                  identity_cells(fiber(h.dst)))
     return vcompose(vcompose(from_layers([l1]), mid), from_layers([last]))
-
-
-_MACROS: dict[str, Callable] = {}
-
-
-def macro(name):
-    def register(fn):
-        _MACROS[name] = fn
-        return fn
-    return register
-
-
-@macro("BC")
-def _macro_bc(sig, binding):
-    square = binding["square"]
-    _require_marked(sig, square)
-    return bc_expansion(square)
-
-
-@macro("mate")
-def _macro_mate(sig, binding):
-    pt = binding["pt"]
-    validate_polygon_type(sig.base, pt)
-    return mate_expansion(pt)
-
-
-@macro("mate2")
-def _macro_mate2(sig, binding):
-    pt = binding["pt"]
-    validate_polygon_type(sig.base, pt)
-    return mate2_expansion(pt)
-
-
-@macro("mu")
-def _macro_mu(sig, binding):
-    """Monad multiplication: the counit whiskered inside the monad string."""
-    f = binding["arrow"]
-    return from_layers([Layer(cells(fiber(f.src), Shriek(f)), Counit(f),
-                              cells(fiber(f.dst), Star(f)))])
-
-
-def expand_macro(sig: Signature, name: str, binding: dict) -> Diagram:
-    try:
-        fn = _MACROS[name]
-    except KeyError:
-        raise InvalidBinding(f"unknown macro {name}") from None
-    try:
-        return fn(sig, binding)
-    except KeyError as exc:
-        raise InvalidBinding(f"macro {name}: missing parameter {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,20 @@
 
 import json
 import random
+import re
+from importlib.resources import files
 
 import pytest
 
 from strandcheck import calculus
 from strandcheck.calculus import Diagram
 from strandcheck.cli import main
-from strandcheck.descent import _Names, builtin_descent_base, signature_for
+from strandcheck.descent import (
+    _Names,
+    builtin_descent_base,
+    bundle_file_name,
+    signature_for,
+)
 from strandcheck.parser import (
     format_base_block,
     format_script_file,
@@ -103,9 +110,10 @@ def test_check_malformed_header_exits_2(tmp_path, capsys):
 _IDENTITY_SCRIPT = ("[diagram d0 : id(B) => id(B)]\n\n"
                     "[script s]\nclaim d0 = d0\n")
 
-# (command, text after the built-in [base] section, the start of the line
-# the error names or None, a fragment of the message). Each of these
-# raised a traceback or, for the macro steps, read as a wrong proof.
+# (command, text after the built-in [base] section or a whole file, the
+# start of the line the error names or None, a fragment of the message).
+# Each of these raised a traceback, read as a wrong proof (the macro steps,
+# the base without f1) or, for the token off its fiber, was accepted.
 _BAD_INPUTS = [
     pytest.param("check", "[diagram d0 :  => id(B)]\n", "[diagram d0",
                  "empty one-cell string", id="empty-boundary-string"),
@@ -127,13 +135,20 @@ _BAD_INPUTS = [
                  "needs kernel-pair projections", id="one-projection"),
     pytest.param("check", "# caf\xe9\n", None, "can't decode",
                  id="latin-1-bytes"),
+    pytest.param("check", "[base]\nobject A\nobject B\narrow f : B -> A\n\n"
+                 "[signature]\nextension TA\narrow f\nobject X @ B\n\n"
+                 "[diagram d : X@B => X@B]\n\n[script s]\nclaim d = d\n",
+                 None, "no arrow named f1", id="base-without-f1"),
+    pytest.param("check", "[signature]\nextension TA\narrow f\nobject X @ A\n\n"
+                 "[diagram d : X@A => X@A]\n\n[script s]\nclaim d = d\n",
+                 None, "token f! expects E_B", id="object-token-off-fiber"),
 ]
 
 
 @pytest.mark.parametrize("command, body, named, message", _BAD_INPUTS)
 def test_bad_input_exits_2_with_a_message(command, body, named, message,
                                           base_text, tmp_path, capsys):
-    text = base_text + "\n\n" + body
+    text = body if body.startswith("[base]") else base_text + "\n\n" + body
     path = tmp_path / "bad.strand"
     path.write_bytes(text.encode("latin-1"))
     assert main([command, str(path)]) == 2
@@ -161,6 +176,43 @@ def test_model_check_outside_the_builtin_base_exits_2(tmp_path, capsys):
                     "claim e = e\n")
     assert main(["model-check", str(path)]) == 0
     assert capsys.readouterr().out == "s: Verified\n"
+
+
+def test_check_repeated_script_name_exits_2(bundle_dir, tmp_path, capsys):
+    """Files that share a signature are checked in one session, so a script
+    name used twice among them is an error, whichever file comes first."""
+    good = bundle_dir / "ta_bundle.strand"
+    lines = good.read_text().split("\n")
+    at = next(i for i, l in enumerate(lines) if l.startswith("step "))
+    lines[at] = lines[at].replace(", strand:0,", ", strand:1,")
+    bad = tmp_path / "bad.strand"
+    bad.write_text("\n".join(lines))
+    assert main(["check", str(bad)]) == 1
+    capsys.readouterr()
+    for first, second in ((good, bad), (bad, good)):
+        assert main(["check", str(first), str(second)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {second}: script 'phi_iso_left' is "
+                                f"already defined in {first}\n")
+
+
+def test_renamed_object_token(tmp_path, capsys):
+    """The axioms are stated with the file's own object token, so the bundle
+    with X renamed to Y checks; the oracle's environments assign X@B only,
+    so model-check reports Y@B as unsupported input."""
+    data = files("strandcheck") / "bundle"
+    for kind in ("TA", "DD", "AC"):
+        name = bundle_file_name(kind)
+        text = re.sub(r"\bX\b", "Y", (data / name).read_text(encoding="utf-8"))
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert main(["check", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count(": Verified\n") == 13 and "Failed" not in out
+    assert main(["model-check", str(tmp_path / "ta_bundle.strand")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the claim of phi_iso_left uses object "
+                          "token Y@B"), err
 
 
 def test_check_missing_file_exits_2(tmp_path):

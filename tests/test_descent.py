@@ -4,6 +4,7 @@ import pytest
 
 from strandcheck.base import path_of, paths_equal
 from strandcheck.calculus import (
+    Counit,
     Shriek,
     Star,
     TERMINAL,
@@ -25,7 +26,6 @@ from strandcheck.descent import (
     translate_F,
     translate_G,
     translate_H,
-    translation_macro,
     verify_theorem,
 )
 from strandcheck.errors import InvalidBinding, InvalidGenerator
@@ -84,6 +84,14 @@ def test_monad_mu_boundary(base, names):
     assert d.target.tokens == half
 
 
+def test_monad_mu_is_counit_in_monad_string(names):
+    f = names.f
+    d = monad_mu(names.base)
+    assert d.source == cells(fiber(f.src), Shriek(f), Star(f), Shriek(f), Star(f))
+    assert d.target == cells(fiber(f.src), Shriek(f), Star(f))
+    assert [layer.gen for layer in d.layers] == [Counit(f)]
+
+
 def test_axiom_equations_parallel(base):
     for kind, axnames in (("TA", ["TA1", "TA2"]), ("DD", ["DD1", "DD2"]),
                           ("AC", ["AC1", "AC2"])):
@@ -134,16 +142,6 @@ def test_translation_boundaries(base, names):
     h_alpha = translate_H(beta, base)
     assert h_alpha.source.tokens == (names.x, Shriek(names.f), Star(names.f))
     assert h_alpha.target.tokens == (names.x,)
-
-
-def test_translation_macro_bodies(base):
-    for name, kind in (("F_phi", "TA"), ("G_beta", "DD"), ("H_alpha", "AC")):
-        body = translation_macro(name)
-        sig = signature_for(kind, base)
-        d = body(sig, {})
-        assert d.layers
-    with pytest.raises(InvalidBinding):
-        translation_macro("K_gamma")
 
 
 def test_substitute_descent_replaces_generator(base):

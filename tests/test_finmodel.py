@@ -1,6 +1,7 @@
 """The finite-set families model and its extensional oracle."""
 
 import random
+from dataclasses import replace
 from importlib.resources import files
 
 import pytest
@@ -561,3 +562,16 @@ def test_missing_descent_map_rejected(inst, names):
     del env[beta]
     with pytest.raises(EnvMissing):
         interpret_diagram(single(beta), inst, env)
+
+
+def test_unrealized_names_unassigned_tokens_and_cells(names):
+    """``unrealized`` covers what ``free_algebra_env`` assigns: the object
+    token X@B and the three built-in descent cells, and nothing else."""
+    for kind in ("TA", "DD", "AC"):
+        cell = signature_for(kind, names.base).descent_generator()
+        assert finmodel.unrealized(single(cell)) is None
+    y = replace(names.x, name="Y")
+    assert finmodel.unrealized(identity_diagram(cells(y.dom, y))) == \
+        "object token Y@B"
+    swapped = DescentCell("phi", names.x, names.f, (names.f2, names.f1))
+    assert finmodel.unrealized(single(swapped)) == "descent cell phi(f, f2, f1)"

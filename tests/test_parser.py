@@ -276,7 +276,8 @@ step rule R2(pt1=(f1;f = f2;f), pt2=(f2;f = f1;f)) fwd @ layers:0..2, strand:0, 
 
 
 def test_macros_section(names):
-    good = _base_text(names) + "\n\n[macros]\nbuiltin BC\nbuiltin mate2\n"
+    good = (_base_text(names) + "\n\n[macros]\nbuiltin BC\nbuiltin mate2\n"
+            "builtin H_alpha\nbuiltin k1\n")
     parse_script_file(good)
     bad = _base_text(names) + "\n\n[macros]\nbuiltin sprocket\n"
     with pytest.raises(ParseError):

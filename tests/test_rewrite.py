@@ -1,4 +1,4 @@
-"""Rewrite rules, macros, normalization, oriented rewriting and the checker."""
+"""Rewrite rules, mates, normalization, oriented rewriting and the checker."""
 
 import os
 import random
@@ -71,7 +71,6 @@ from strandcheck.rewrite import (
     check_script,
     confluence_probe,
     decide_fib_equal,
-    expand_macro,
     extract_block,
     instantiate_rule,
     mate2_expansion,
@@ -242,7 +241,7 @@ def test_random_rule_instances_stay_parallel(sig, base):
 
 
 # ---------------------------------------------------------------------------
-# macros
+# mates
 
 
 def test_mate_agrees_with_comparison_expansion(sig, base):
@@ -264,18 +263,6 @@ def test_mate_rejects_empty_sides(base):
     B = base.object_by_name("B")
     with pytest.raises(InvalidBinding):
         mate_expansion(PolygonType(empty_path(B), empty_path(B)))
-
-
-def test_unknown_macro_rejected(sig):
-    with pytest.raises(InvalidBinding):
-        expand_macro(sig, "nope", {})
-
-
-def test_mu_macro_is_counit_in_monad_string(sig, base):
-    f = a(base, "f")
-    d = expand_macro(sig, "mu", {"arrow": f})
-    assert d.source == cells(fiber(f.src), Shriek(f), Star(f), Shriek(f), Star(f))
-    assert d.target == cells(fiber(f.src), Shriek(f), Star(f))
 
 
 # ---------------------------------------------------------------------------
