@@ -12,7 +12,8 @@ this is *not* a disequality claim).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import (
@@ -25,6 +26,28 @@ from .errors import (
 DEFAULT_SEARCH_BOUND = 8
 
 
+def hash_once(cls):
+    """Make a frozen dataclass hash its term tree once and keep the value.
+
+    The value is the generated one, ``hash`` of the field tuple, so dict
+    and set orders stay; it is kept on first use, since some paths are
+    built without ``__init__``."""
+    names = [f.name for f in fields(cls)]
+    key, single = attrgetter(*names), len(names) == 1
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((key(self),) if single else key(self))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@hash_once
 @dataclass(frozen=True, order=True)
 class ObjectId:
     name: str
@@ -33,6 +56,7 @@ class ObjectId:
         return self.name
 
 
+@hash_once
 @dataclass(frozen=True, order=True)
 class ArrowGen:
     name: str
@@ -43,6 +67,7 @@ class ArrowGen:
         return f"{self.name}:{self.src}->{self.dst}"
 
 
+@hash_once
 @dataclass(frozen=True)
 class Path:
     """A composable sequence of generating arrows, listed in application order.
@@ -93,6 +118,7 @@ def compose_paths(p: Path, q: Path) -> Path:
     return Path(p.src, p.arrows + q.arrows, q.dst)
 
 
+@hash_once
 @dataclass(frozen=True)
 class PathRelation:
     lhs: Path
@@ -103,6 +129,7 @@ class PathRelation:
             raise NotParallel(f"relation sides not parallel: {self.lhs!r} = {self.rhs!r}")
 
 
+@hash_once
 @dataclass(frozen=True)
 class PolygonType:
     """A pair of parallel paths recording a commutative polygon's boundary.
@@ -151,6 +178,7 @@ def paste_polygon_types(kind: str, pt1: PolygonType, pt2: PolygonType) -> Polygo
     raise InvalidBinding(f"unknown pasting kind {kind!r}")
 
 
+@hash_once
 @dataclass(frozen=True)
 class PullbackSquare:
     """A marked pullback square: (a then d) = (c then b).

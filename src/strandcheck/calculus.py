@@ -35,6 +35,7 @@ from .base import (
     Path,
     PolygonType,
     PullbackSquare,
+    hash_once,
     validate_polygon_type,
 )
 from .errors import (
@@ -48,6 +49,7 @@ from .errors import (
 # fiber symbols and one-cell tokens
 
 
+@hash_once
 @dataclass(frozen=True, order=True)
 class FiberSym:
     """A zero-cell: the fiber over a base object, or the terminal symbol."""
@@ -69,6 +71,7 @@ def fiber(obj: ObjectId) -> FiberSym:
     return FiberSym(obj)
 
 
+@hash_once
 @dataclass(frozen=True)
 class Star:
     """Pullback one-cell f^* for a base arrow f: A -> B; runs E_B -> E_A."""
@@ -87,6 +90,7 @@ class Star:
         return f"{self.arrow.name}*"
 
 
+@hash_once
 @dataclass(frozen=True)
 class Shriek:
     """Direct-image one-cell f_! for a base arrow f: A -> B; runs E_A -> E_B."""
@@ -105,6 +109,7 @@ class Shriek:
         return f"{self.arrow.name}!"
 
 
+@hash_once
 @dataclass(frozen=True)
 class ObjTok:
     """An object of a fiber, seen as a one-cell out of the terminal symbol."""
@@ -127,6 +132,7 @@ class ObjTok:
 OneCellToken = Star | Shriek | ObjTok
 
 
+@hash_once
 @dataclass(frozen=True)
 class OneCellPath:
     """A composable left-to-right string of one-cell tokens.
@@ -229,6 +235,7 @@ def unstar(p: OneCellPath) -> Path:
 # two-cell generators
 
 
+@hash_once
 @dataclass(frozen=True)
 class Coherence:
     """Pseudofunctoriality two-cell indexed by a polygon type."""
@@ -239,6 +246,7 @@ class Coherence:
         return f"chi{self.pt!r}"
 
 
+@hash_once
 @dataclass(frozen=True)
 class Unit:
     """Adjunction unit for an arrow h: identity => h* h_!."""
@@ -249,6 +257,7 @@ class Unit:
         return f"eta({self.arrow.name})"
 
 
+@hash_once
 @dataclass(frozen=True)
 class Counit:
     """Adjunction counit for an arrow h: h_! h* => identity."""
@@ -259,6 +268,7 @@ class Counit:
         return f"eps({self.arrow.name})"
 
 
+@hash_once
 @dataclass(frozen=True)
 class SquareInv:
     """Backward comparison cell of a marked pullback square: b* d_! => c_! a*."""
@@ -269,6 +279,7 @@ class SquareInv:
         return f"bcbar({self.square.label})"
 
 
+@hash_once
 @dataclass(frozen=True)
 class DescentCell:
     """The single extra generator of a descent extension.
@@ -403,6 +414,7 @@ def validate_diagram(sig: Signature, d: "Diagram") -> None:
 # layers and diagrams
 
 
+@hash_once
 @dataclass(frozen=True)
 class Layer:
     """One generator with identity whiskers on either side."""
@@ -435,6 +447,7 @@ class Layer:
         return f"[{self.left!r} | {self.gen!r} | {self.right!r}]"
 
 
+@hash_once
 @dataclass(frozen=True)
 class Diagram:
     """A two-cell term: boundary strings plus layers read top to bottom."""
@@ -524,12 +537,13 @@ def hcompose(d1: Diagram, d2: Diagram) -> Diagram:
 # the exchange relation and its canonical form
 
 
-# Layers carry whisker paths, which makes swapping and hashing them costly.
-# The exchange search therefore runs on compact words of (generator id,
-# offset) pairs; a word plus the top boundary determines the layer sequence.
-# Generators are interned to small integers so that word hashing is cheap:
-# generator -> id, id -> (generator, boundary), id -> boundary widths. Ids
-# are labels only; no order on words reads them.
+# Layers carry whisker paths, which makes building and first hashing them
+# costly. The exchange search therefore runs on compact words of (generator
+# id, offset) pairs; a word plus the top boundary determines the layer
+# sequence. Generators are interned to small integers, so a word holds only
+# integers and each generator's boundary is computed once: generator -> id,
+# id -> (generator, boundary), id -> boundary widths. Ids are labels only;
+# no order on words reads them.
 
 _GEN_IDS: dict = {}
 _GEN_LIST: list = []

@@ -101,10 +101,19 @@ def _input_files(paths: list) -> list:
     return out
 
 
+def _parse_file(path: Path):
+    """Parse one input file; a parse error names the file."""
+    text = path.read_text(encoding="utf-8")
+    try:
+        return parse_script_file(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def cmd_check(args) -> int:
     groups: list = []  # (signature, scripts, file of each script name)
     for path in _input_files(args.files):
-        sf = parse_script_file(path.read_text(encoding="utf-8"))
+        sf = _parse_file(path)
         group = next((g for g in groups if g[0] == sf.signature), None)
         if group is None:
             groups.append(group := (sf.signature, [], {}))
@@ -184,7 +193,7 @@ def cmd_export_bundle(args) -> int:
 
 
 def _load_diagram(args):
-    sf = parse_script_file(Path(args.file).read_text(encoding="utf-8"))
+    sf = _parse_file(Path(args.file))
     if args.diagram not in sf.diagrams:
         raise ParseError(f"unknown diagram {args.diagram!r} in {args.file}")
     return sf.diagrams[args.diagram]
@@ -233,7 +242,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_model_check(args) -> int:
-    sf = parse_script_file(Path(args.file).read_text(encoding="utf-8"))
+    sf = _parse_file(Path(args.file))
     if not sf.scripts:
         raise ParseError(f"no scripts to model-check in {args.file}")
     if args.instances == 0:

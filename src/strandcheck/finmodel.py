@@ -368,12 +368,15 @@ def _generator_step(g: GenTwoCell, inst: FinInstance, env: Optional[dict]):
         return lambda x, v: v[1]
     if isinstance(g, Coherence):
         top, bottom = g.pt.top, g.pt.bottom
+        passed = set()  # the check reads only the point, not the element
 
         def chi(x, v):
-            if inst.apply_path(top, x) != inst.apply_path(bottom, x):
-                raise RelationViolated(
-                    f"coherence {g!r}: polygon sides differ extensionally at {x!r}"
-                )
+            if x not in passed:
+                if inst.apply_path(top, x) != inst.apply_path(bottom, x):
+                    raise RelationViolated(
+                        f"coherence {g!r}: polygon sides differ extensionally at {x!r}"
+                    )
+                passed.add(x)
             return v
 
         return chi

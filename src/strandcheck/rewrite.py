@@ -359,23 +359,28 @@ def decide_fib_equal(d1: Diagram, d2: Diagram) -> bool:
 # oriented rewriting (used by the confluence probe)
 
 
+def _absorb(layer: Layer, k: int, j: int) -> Layer:
+    """The coherence layer with the first ``k`` strands of its right
+    whisker and its left whisker's strands from ``j`` on, all pullback
+    strands, absorbed into its polygon type in one ``Layer``."""
+    pre = unstar(slice_cells(layer.right, 0, k))
+    post = unstar(slice_cells(layer.left, j))
+    top, bottom = (compose_paths(compose_paths(pre, p), post)
+                   for p in (layer.gen.pt.top, layer.gen.pt.bottom))
+    return Layer(slice_cells(layer.left, 0, j), Coherence(PolygonType(top, bottom)),
+                 slice_cells(layer.right, k))
+
+
 def _absorbed(layer: Layer, side: str) -> Optional[Layer]:
     """The coherence layer with its innermost ``side`` whisker strand
     absorbed into the polygon type (R3.1 on the right, R3.2 on the left),
     or None when that strand is not a pullback strand."""
-    pt = layer.gen.pt
+    left, right = layer.left.tokens, layer.right.tokens
     if side == "right":
-        if not (layer.right.tokens and isinstance(layer.right.tokens[0], Star)):
-            return None
-        ext = path_of(layer.right.tokens[0].arrow)
-        new_pt = PolygonType(compose_paths(ext, pt.top), compose_paths(ext, pt.bottom))
-        return Layer(layer.left, Coherence(new_pt), slice_cells(layer.right, 1))
-    if not (layer.left.tokens and isinstance(layer.left.tokens[-1], Star)):
-        return None
-    ext = path_of(layer.left.tokens[-1].arrow)
-    new_pt = PolygonType(compose_paths(pt.top, ext), compose_paths(pt.bottom, ext))
-    return Layer(slice_cells(layer.left, 0, len(layer.left) - 1),
-                 Coherence(new_pt), layer.right)
+        ok = right and isinstance(right[0], Star)
+        return _absorb(layer, 1, len(left)) if ok else None
+    ok = left and isinstance(left[-1], Star)
+    return _absorb(layer, 0, len(left) - 1) if ok else None
 
 
 def _oriented_successors_one(d: Diagram):
@@ -407,37 +412,46 @@ def oriented_successors(d: Diagram) -> dict[Diagram, None]:
     """All one-step oriented rewrites modulo isotopy.
 
     Every presentation of ``d``'s exchange class (``class_words`` from
-    ``d``'s own word) is expanded and rewritten once; the keys are the
-    rewritten presentations themselves, not canonical forms. They are in
-    discovery order, so the exploration that queues them does not depend
-    on the process's string-hash seed.
+    ``d``'s own word) is rewritten once: ``d`` itself for the first word,
+    and each later word expanded to layers. The keys are the rewritten
+    presentations themselves, not canonical forms. They are in discovery
+    order, so the exploration that queues them does not depend on the
+    process's string-hash seed.
     """
-    out = {}
-    for word in class_words(compact_word(d.layers)):
+    out = dict.fromkeys(_oriented_successors_one(d))
+    for word in class_words(compact_word(d.layers))[1:]:
         rep = Diagram(d.source, d.target, expand_word(d.source, word))
         for nxt in _oriented_successors_one(rep):
             out[nxt] = None
     return out
 
 
+def _closed_layer(layer: Layer) -> Layer:
+    """``_absorbed`` on the right, then on the left, until it returns
+    None, in one step; ``layer`` itself when it absorbs nothing."""
+    if not isinstance(layer.gen, Coherence):
+        return layer
+    left, right = layer.left.tokens, layer.right.tokens
+    k = next((i for i, t in enumerate(right) if not isinstance(t, Star)), len(right))
+    j = len(left)
+    while j and isinstance(left[j - 1], Star):
+        j -= 1
+    return layer if not k and j == len(left) else _absorb(layer, k, j)
+
+
 def absorb_closure(d: Diagram) -> Diagram:
     """Apply whisker-absorption steps until none applies.
 
-    Each coherence layer absorbs its whisker strands, right then left, in
-    one pass; absorbing into one layer changes no other. Absorption steps
+    Each coherence layer absorbs all its whisker strands in one step
+    (``_closed_layer``); absorbing into one layer changes no other, and
+    ``d`` itself is returned when nothing is absorbed. Absorption steps
     strictly commute with each other and with deletion and merging of
     other layers (statewise diamonds, checked by property tests), so the
     closure is well defined and the set of reachable terminal forms is
     unchanged when exploration is restricted to closed diagrams.
     """
-    layers = []
-    for layer in d.layers:
-        if isinstance(layer.gen, Coherence):
-            for side in ("right", "left"):
-                while (new := _absorbed(layer, side)) is not None:
-                    layer = new
-        layers.append(layer)
-    return Diagram(d.source, d.target, tuple(layers))
+    layers = tuple(map(_closed_layer, d.layers))
+    return d if layers == d.layers else Diagram(d.source, d.target, layers)
 
 
 def normal_forms(d: Diagram, limit: int = 10000) -> set[Diagram]:

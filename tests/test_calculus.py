@@ -2,11 +2,14 @@
 
 import random
 from collections import defaultdict
+from dataclasses import fields, is_dataclass
+from importlib.resources import files
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strandcheck import base as base_module
 from strandcheck import calculus
 from strandcheck.base import (
     BasePresentation,
@@ -44,8 +47,9 @@ from strandcheck.calculus import (
     vcompose,
     whisker,
 )
-from strandcheck.descent import signature_for
+from strandcheck.descent import bundle_file_name, signature_for
 from strandcheck.errors import BoundaryMismatch, NonComposable
+from strandcheck.parser import parse_script_file
 from strandcheck.rewrite import random_chi_diagram
 
 from exchange_oracle import swap_adjacent, symmetric_closure
@@ -344,3 +348,103 @@ def test_hcompose_interchange(base):
         whisker("right", d2.target, d1),
     )
     assert isotopic(h, lower_first)
+
+
+# ---------------------------------------------------------------------------
+# the hash contract of value terms
+
+
+def _frozen_value_classes():
+    return {cls for mod in (base_module, calculus)
+            for cls in vars(mod).values()
+            if isinstance(cls, type) and cls.__module__ == mod.__name__
+            and is_dataclass(cls) and cls.__dataclass_params__.frozen}
+
+
+def _terms(x, out):
+    """Collect every frozen dataclass instance inside ``x`` by class."""
+    if is_dataclass(x) and not isinstance(x, type):
+        if type(x).__dataclass_params__.frozen:
+            out.setdefault(type(x), []).append(x)
+        for f in fields(x):
+            _terms(getattr(x, f.name), out)
+    elif isinstance(x, (tuple, list, set, frozenset)):
+        for y in x:
+            _terms(y, out)
+    elif isinstance(x, dict):
+        for y in x.values():
+            _terms(y, out)
+    return out
+
+
+def _parsed_bundle():
+    data = files("strandcheck") / "bundle"
+    return [parse_script_file((data / bundle_file_name(kind))
+                              .read_text(encoding="utf-8"))
+            for kind in ("TA", "DD", "AC")]
+
+
+def test_value_hash_is_the_field_tuple_hash():
+    """Every frozen value class keeps its hash, and the hash is that of
+    its field tuple, which is what the generated dataclass hash gives, so
+    dict and set orders stay."""
+    found = _terms(_parsed_bundle(), {})
+    classes = _frozen_value_classes()
+    assert {c.__name__ for c in classes} >= {
+        "ObjectId", "ArrowGen", "Path", "PolygonType", "Star", "Shriek",
+        "OneCellPath", "Coherence", "DescentCell", "Layer", "Diagram"}
+    for cls in classes:
+        assert found.get(cls), f"no {cls.__name__} in the bundle"
+        for x in found[cls]:
+            want = hash(tuple(getattr(x, f.name) for f in fields(x)))
+            assert hash(x) == want == vars(x)["_hash"], cls  # kept
+
+
+def test_independent_parses_hash_alike():
+    """The bundle parsed twice gives distinct objects whose diagrams,
+    layers and paths are equal and hash equal."""
+    first, second = _parsed_bundle(), _parsed_bundle()
+    compared = 0
+    for sf1, sf2 in zip(first, second):
+        assert sf1.diagrams.keys() == sf2.diagrams.keys()
+        for name, d1 in sf1.diagrams.items():
+            d2 = sf2.diagrams[name]
+            assert d1 is not d2
+            pairs = [(d1, d2), (d1.source, d2.source), (d1.target, d2.target)]
+            for l1, l2 in zip(d1.layers, d2.layers, strict=True):
+                pairs += [(l1, l2), (l1.left, l2.left), (l1.right, l2.right),
+                          *zip(l1.boundary(), l2.boundary())]
+                if isinstance(l1.gen, Coherence):
+                    pairs += [(l1.gen.pt.top, l2.gen.pt.top),
+                              (l1.gen.pt.bottom, l2.gen.pt.bottom)]
+            for x, y in pairs:
+                assert x == y and hash(x) == hash(y)
+            compared += len(pairs)
+    assert compared > 1000
+
+
+def test_trusted_paths_hash_like_checked_ones():
+    """Paths built without ``__init__`` (slices, concatenations,
+    identities) hash and compare like the same path built checked."""
+    rng = random.Random(5)
+    sig = signature_for(None)
+    seen = 0
+    for _ in range(200):
+        d = random_chi_diagram(sig, rng, 4, 4)
+        for p in (d.source, d.target):
+            n = len(p)
+            for i in range(n + 1):
+                for j in range(i, n + 1):
+                    s = slice_cells(p, i, j)
+                    built = calculus.OneCellPath(s.dom, s.tokens)
+                    assert built == s and hash(s) == hash(built)
+                    assert built.cod == s.cod
+                    seen += 1
+            joined = concat_cells(slice_cells(p, 0, n // 2),
+                                  slice_cells(p, n // 2))
+            assert joined == p and hash(joined) == hash(
+                calculus.OneCellPath(p.dom, p.tokens))
+        ident = identity_cells(d.source.cod)
+        assert ident == calculus._trusted_cells(ident.dom, (), ident.cod)
+        assert hash(ident) == hash(calculus.OneCellPath(ident.dom, ()))
+    assert seen > 1000

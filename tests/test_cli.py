@@ -158,7 +158,7 @@ def test_bad_input_exits_2_with_a_message(command, body, named, message,
     if named is not None:
         line = next(i for i, l in enumerate(text.split("\n"), 1)
                     if l.startswith(named))
-        assert err.startswith(f"error: line {line}: "), err
+        assert err.startswith(f"error: {path}: line {line}: "), err
 
 
 def test_model_check_outside_the_builtin_base_exits_2(tmp_path, capsys):
@@ -195,6 +195,23 @@ def test_check_repeated_script_name_exits_2(bundle_dir, tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == (f"error: {second}: script 'phi_iso_left' is "
                                 f"already defined in {first}\n")
+
+
+def test_parse_error_names_its_file(bundle_dir, tmp_path, capsys):
+    """With several files, a parse error says which file it is in,
+    whichever argument comes first; the one-file commands name it too."""
+    good = bundle_dir / "ta_bundle.strand"
+    broken = tmp_path / "broken.strand"
+    broken.write_text("[base]\nobject A\nfoo B\n")
+    want = f"error: {broken}: line 3: unknown [base] declaration 'foo'\n"
+    for files in ((good, broken), (broken, good)):
+        assert main(["check", *map(str, files)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == want
+    for command in (["model-check", str(broken)], ["normalize", str(broken), "d"],
+                    ["render", str(broken), "d"]):
+        assert main(command) == 2
+        assert capsys.readouterr().err == want
 
 
 def test_renamed_object_token(tmp_path, capsys):

@@ -542,8 +542,9 @@ def test_coherence_rejects_broken_relation(names):
     broken = make_instance(("a1", "a2"), ("b1", "b2"), {"b1": "a1", "b2": "a2"})
     broken.action[names.f1] = {**broken.action[names.f1], ("b1", "b1"): "b2"}
     a = _obj(broken, "A")
-    y = Family(a, (("a1", ("p",)), ("a2", ("q",))))
-    with pytest.raises(RelationViolated):
+    y = Family(a, (("a1", ("p", "p2")), ("a2", ("q", "q2"))))
+    # the sides differ only over the point (b1, b1), which the error names
+    with pytest.raises(RelationViolated, match=r"at \('b1', 'b1'\)$"):
         interpret_diagram(single(Coherence(names.pt_P1)), broken, input_family=y)
 
 

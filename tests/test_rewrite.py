@@ -371,6 +371,87 @@ def test_absorption_steps_commute_statewise(sig):
     assert diamonds > 0
 
 
+def _absorb_strandwise(d):
+    """Reference closure: one strand at a time (rule R3), right then left,
+    until ``_absorbed`` finds none."""
+    layers = []
+    for layer in d.layers:
+        if isinstance(layer.gen, Coherence):
+            for side in ("right", "left"):
+                while (new := rewrite._absorbed(layer, side)) is not None:
+                    layer = new
+        layers.append(layer)
+    return Diagram(d.source, d.target, tuple(layers))
+
+
+def test_absorb_closure_matches_strandwise_absorption():
+    sig = signature_for(None)
+    rng = random.Random(37)
+    absorbed = 0
+    for _ in range(1500):
+        d = random_chi_diagram(sig, rng, 5, 4)
+        c = absorb_closure(d)
+        assert c == _absorb_strandwise(d)
+        assert absorb_closure(c) is c  # nothing left to absorb: d itself
+        absorbed += c is not d
+    assert absorbed > 1000
+
+
+def _reference_normal_forms(d, visit):
+    """The exploration loop of ``normal_forms`` as it was before closing
+    layers in one step: strand-by-strand closure, and successors taken
+    by expanding every word of the class, ``d``'s own word included."""
+    from collections import deque
+
+    def successors(cur):
+        visit(cur)
+        out = {}
+        for word in calculus.class_words(calculus.compact_word(cur.layers)):
+            rep = Diagram(cur.source, cur.target,
+                          calculus.expand_word(cur.source, word))
+            for nxt in rewrite._oriented_successors_one(rep):
+                out[nxt] = None
+        return out
+
+    start = _absorb_strandwise(d)
+    seen = {start}
+    frontier = deque([start])
+    terminals = set()
+    while frontier:
+        cur = frontier.popleft()
+        succs = dict.fromkeys(_absorb_strandwise(n) for n in successors(cur))
+        if not succs:
+            terminals.add(cur)
+            continue
+        for nxt in succs:
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return terminals
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_normal_forms_explores_like_the_reference_loop(seed, monkeypatch):
+    """On samples drawn as ``confluence_probe`` draws them, the new loop
+    visits the same states in the same order, calls
+    ``oriented_successors`` once per state, and finds the same
+    terminals."""
+    sig = signature_for(None)
+    rng = random.Random(seed)
+    new_visits, ref_visits = [], []
+    successors = rewrite.oriented_successors
+
+    def counted(d):
+        new_visits.append(d)
+        return successors(d)
+
+    monkeypatch.setattr(rewrite, "oriented_successors", counted)
+    for _ in range(150):
+        d = random_chi_diagram(sig, rng, 5, 4)
+        assert normal_forms(d) == _reference_normal_forms(d, ref_visits.append)
+    assert new_visits == ref_visits and len(ref_visits) > 300
+
+
 def test_confluence_probe_smoke(sig):
     rep = confluence_probe(sig, size=(4, 3), samples=60, seed=1)
     assert rep.ok
