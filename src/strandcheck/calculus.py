@@ -3,17 +3,20 @@
 A two-cell is a ``Diagram``: an ordered list of layers read top to bottom,
 each layer a single generator flanked by identity whiskers. Planar isotopy
 is modelled by exchange moves (sliding generators past each other on
-disjoint strands), which ``exchanges`` enumerates under both branches of
-``_swap_branches``; the relation they generate is symmetric, and
-``isotopic`` decides it by a search between the two presentations.
+disjoint strands), each one a branch of ``_swap_branches``; the relation
+they generate is symmetric, and ``isotopic`` decides it by a search
+between the two presentations.
 
 ``exchange_walk`` is the one walk over an exchange class: lazy and
 breadth-first from a given word. The region scanner that resolves step
 positions walks it, and ``class_words`` lists it whole for the callers
 that need every presentation at once (canonical forms and the
-confluence probe). ``exchange_canonical`` returns the least presentation
-of a diagram's exchange class, so it is a property of the class: every
-presentation has the same form. ``_CANON_MEMO`` only caches it.
+confluence probe). The walk and ``isotopic`` search on byte strings
+through a letter table of their own (``_Letters``), which works out
+each adjacent pair's moves once per search. ``exchange_canonical``
+returns the least presentation of a diagram's exchange class, so it is
+a property of the class: every presentation has the same form.
+``_CANON_MEMO`` only caches it.
 Canonical forms serve only the bundle authoring tool; no proof step is
 checked through them.
 
@@ -539,11 +542,13 @@ def hcompose(d1: Diagram, d2: Diagram) -> Diagram:
 
 # Layers carry whisker paths, which makes building and first hashing them
 # costly. The exchange search therefore runs on compact words of (generator
-# id, offset) pairs; a word plus the top boundary determines the layer
-# sequence. Generators are interned to small integers, so a word holds only
-# integers and each generator's boundary is computed once: generator -> id,
-# id -> (generator, boundary), id -> boundary widths. Ids are labels only;
-# no order on words reads them.
+# id, offset) pairs, the letters; a word plus the top boundary determines
+# the layer sequence. Generators are interned to small integers, so a word
+# holds only integers and each generator's boundary is computed once:
+# generator -> id, id -> (generator, boundary), id -> boundary widths. Ids
+# are labels only; no order on words reads them. A search goes one step
+# further and numbers the letters it meets (``_Letters``), so the words it
+# hashes and stores are flat byte strings.
 
 _GEN_IDS: dict = {}
 _GEN_LIST: list = []
@@ -584,35 +589,106 @@ def compact_word(layers: tuple[Layer, ...]) -> tuple:
     return tuple((l._gid, l.offset) for l in layers)
 
 
+class _Letters:
+    """One search's letter table: each letter a number written in ``k``
+    bytes, each word the ``bytes`` of its letters' numbers.
+
+    ``k`` comes from a bound known before the search: exchange keeps the
+    generators and the top boundary, and every letter's offset stays below
+    the widest boundary of any presentation, at most the least top width
+    the start words allow plus every strand a generator adds. Letters are
+    numbered as met, and each adjacent pair's moves are computed with
+    ``_swap_branches`` once, then looked up.
+    """
+
+    __slots__ = ("k", "codes", "letters", "moves")
+
+    def __init__(self, words):
+        gens, top, grow = set(), 0, 0
+        for word in words:
+            width = added = 0  # width relative to the top
+            for gid, off in word:
+                gens.add(gid)
+                s, t = _GEN_W[gid]
+                if off + s - width > top:
+                    top = off + s - width
+                if t > s:
+                    added += t - s
+                width += t - s
+            if added > grow:
+                grow = added
+        most = len(gens) * (top + grow + 1)
+        self.k = max(1, ((most - 1).bit_length() + 7) // 8)
+        self.codes = {}  # letter -> its k bytes
+        self.letters = []  # number -> letter
+        self.moves = {}  # an adjacent pair of numbers -> the pairs it moves to
+
+    def code(self, letter) -> bytes:
+        code = self.codes.get(letter)
+        if code is None:
+            code = self.codes[letter] = len(self.letters).to_bytes(self.k, "big")
+            self.letters.append(letter)
+        return code
+
+    def encode(self, word: tuple) -> bytes:
+        return b"".join(map(self.code, word))
+
+    def numbers(self, word: bytes):
+        """The letter numbers of a word, in order."""
+        k = self.k
+        if k == 1:
+            return word
+        return [int.from_bytes(word[j : j + k], "big")
+                for j in range(0, len(word), k)]
+
+    def decode(self, word: bytes) -> tuple:
+        return tuple(map(self.letters.__getitem__, self.numbers(word)))
+
+    def neighbours(self, word: bytes) -> list:
+        """Every word one exchange move from ``word`` under both branches,
+        pair by pair from the left of the word."""
+        k, moves, letters = self.k, self.moves, self.letters
+        nums = self.numbers(word)
+        out = []
+        for j, pair in enumerate(zip(nums, nums[1:])):
+            moved = moves.get(pair)
+            if moved is None:
+                a, b = pair
+                moved = _swap_branches(letters[a], letters[b])
+                if moved:
+                    moved = tuple(self.code(x) + self.code(y) for x, y in moved)
+                moves[pair] = moved
+            for m in moved:
+                out.append(word[: j * k] + m + word[(j + 2) * k :])
+        return out
+
+
 def exchange_walk(word: tuple):
     """Every word of ``word``'s exchange class, lazily, in breadth-first
-    discovery order over ``exchanges`` from ``word`` itself. A word's
-    neighbours are generated only once the caller asks for the next word,
-    so a caller that stops early walks no further. Nothing is cached: the
-    same start word always gives the same words in the same order, and
-    every start word of a class gives the same set."""
-    seen = {word}
-    frontier = deque([word])
+    discovery order over exchange moves from ``word`` itself. Each word
+    is yielded once found, and a word's neighbours are generated only
+    once the caller asks for a word not yet found, so a caller that stops
+    early walks no further. Nothing outlives the
+    walk: the same start word always gives the same words in the same
+    order, and every start word of a class gives the same set."""
+    yield word
+    if not any(map(_swap_branches, word, word[1:])):
+        return  # no move applies: the word is its whole class
+    letters = _Letters((word,))
+    start = letters.encode(word)
+    seen = {start}
+    frontier = deque([start])
     while frontier:
-        cur = frontier.popleft()
-        yield cur
-        for nxt in exchanges(cur):
+        for nxt in letters.neighbours(frontier.popleft()):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
+                yield letters.decode(nxt)
 
 
 def class_words(word: tuple) -> list:
     """The whole of ``exchange_walk(word)``, as a list."""
     return list(exchange_walk(word))
-
-
-def exchanges(word: tuple):
-    """Every word one exchange move from ``word`` under both branches,
-    pair by pair from the left of the word."""
-    for i in range(len(word) - 1):
-        for sw in _swap_branches(word[i], word[i + 1]):
-            yield word[:i] + sw + word[i + 2 :]
 
 
 def expand_word(source: OneCellPath, word: tuple) -> tuple[Layer, ...]:
@@ -654,7 +730,11 @@ def region_misfit(word: tuple, top_width: int, lo: int, hi: int,
     """
     if not (0 <= lo <= hi <= len(word)):
         return f"layer range {lo}..{hi} out of bounds"
-    if strand < 0 or strand + width > word_widths(word[:lo], top_width)[-1]:
+    above = top_width
+    for gid, _ in word[:lo]:
+        s, t = _GEN_W[gid]
+        above += t - s
+    if strand < 0 or strand + width > above:
         return "strand interval out of bounds"
     cur_hi = strand + width
     for i in range(lo, hi):
@@ -713,8 +793,9 @@ def isotopic(d1: Diagram, d2: Diagram) -> bool:
 
     Exchange keeps the boundary and the multiset of generators, so those
     are compared first. Then a breadth-first search runs from both words
-    at once over ``exchanges``, always growing the smaller frontier, until
-    the two meet or one side has no word left to visit. The relation is
+    at once over exchange moves, always growing the smaller frontier, until
+    the two meet or one side has no word left to visit. Both sides share
+    one letter table, so the search runs on byte strings. The relation is
     symmetric and nothing is memoized, so the answer depends on neither
     the argument order nor what the process searched before.
     """
@@ -725,14 +806,16 @@ def isotopic(d1: Diagram, d2: Diagram) -> bool:
         return True
     if sorted(g for g, _ in w1) != sorted(g for g, _ in w2):
         return False
-    near, far = [w1], [w2]
-    near_seen, far_seen = {w1}, {w2}
+    letters = _Letters((w1, w2))
+    e1, e2 = letters.encode(w1), letters.encode(w2)
+    near, far = [e1], [e2]
+    near_seen, far_seen = {e1}, {e2}
     while near and far:
         if len(near) > len(far):
             near, far, near_seen, far_seen = far, near, far_seen, near_seen
         grown = []
         for word in near:
-            for nxt in exchanges(word):
+            for nxt in letters.neighbours(word):
                 if nxt in far_seen:
                     return True
                 if nxt not in near_seen:

@@ -6,7 +6,9 @@ comparison-cell invertibility) together with three derived rules
 (coherence invertibility, generalized whiskering, horizontal pasting).
 Proof scripts rewrite a claim's left-hand side step by step into its
 right-hand side. One kernel, ``apply_step``, checks every positioned
-step: ``_blocks_at`` resolves the position, each block found is compared
+step: a pattern step whose region has another height or top width than
+its pattern is rejected at once, since exchange keeps both; otherwise
+``_blocks_at`` resolves the position, each block found is compared
 with the pattern, the replacement is spliced in between the strings
 ``extract_block`` cut beside the block, and the outcome is compared with
 the stated result with ``isotopic``, all modulo exchange of layers only.
@@ -820,6 +822,12 @@ def apply_step(session: CheckerSession, d: Diagram, step: ProofStep) -> Diagram:
     the block's boundary is spliced in and compared with the stated
     result. A coherence step's replacements are the coherence-only blocks
     of the stated result at the step's result region.
+
+    Exchange keeps the number of layers and the boundary widths, so no
+    block is isotopic to a pattern of another height or top width. A
+    pattern step whose region differs from its pattern in either is
+    rejected before any presentation is walked, with the message the
+    whole walk would end with.
     """
     if step.result.source != d.source or step.result.target != d.target:
         raise BoundaryChanged("step result changed the claim boundary")
@@ -838,6 +846,12 @@ def apply_step(session: CheckerSession, d: Diagram, step: ProofStep) -> Diagram:
         matches = _pure_chi
     else:
         pattern, replacement = session.pattern_pair(just)
+        region = step.region
+        if (region.hi - region.lo != len(pattern.layers)
+                or region.width != len(pattern.source)):
+            # exchange keeps a block's layer count and top width
+            raise PatternNotFound(
+                f"pattern for {just!r} does not occur at {region}")
         replacements = [replacement]
 
         def matches(block):

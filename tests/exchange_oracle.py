@@ -1,12 +1,16 @@
 """Layer-level adjacent exchange, the test oracle for exchange and isotopy.
 
 It works on full layers with their whisker paths, independently of the
-compact (generator id, offset) words the library searches.
+compact (generator id, offset) words the library searches. ``tuple_walk``
+is the exception: the library's exchange walk as it ran on tuples of
+letters before it searched on byte strings, kept as the reference for
+the order in which a walk yields words.
 """
 
+from collections import deque
 from typing import Optional
 
-from strandcheck.calculus import Layer, slice_cells
+from strandcheck.calculus import Layer, _swap_branches, slice_cells
 
 
 def swap_branches(l1: Layer, l2: Layer) -> list[tuple[Layer, Layer]]:
@@ -83,3 +87,25 @@ def region_fits(d, lo: int, hi: int, strand: int, width: int) -> bool:
         return False
     return all(len(layer.left) >= strand and len(layer.right) >= right
                for layer in d.layers[lo:hi])
+
+
+def tuple_exchanges(word: tuple):
+    """Every word one exchange move from ``word`` under both branches,
+    pair by pair from the left of the word."""
+    for i in range(len(word) - 1):
+        for sw in _swap_branches(word[i], word[i + 1]):
+            yield word[:i] + sw + word[i + 2 :]
+
+
+def tuple_walk(word: tuple):
+    """Every word of ``word``'s exchange class, lazily, in breadth-first
+    discovery order over ``tuple_exchanges`` from ``word`` itself."""
+    seen = {word}
+    frontier = deque([word])
+    while frontier:
+        cur = frontier.popleft()
+        yield cur
+        for nxt in tuple_exchanges(cur):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)

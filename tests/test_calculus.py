@@ -30,8 +30,12 @@ from strandcheck.calculus import (
     TERMINAL,
     Unit,
     cells,
+    class_words,
+    compact_word,
     concat_cells,
     exchange_canonical,
+    exchange_walk,
+    expand_word,
     fiber,
     from_layers,
     generator_boundary,
@@ -47,12 +51,12 @@ from strandcheck.calculus import (
     vcompose,
     whisker,
 )
-from strandcheck.descent import bundle_file_name, signature_for
+from strandcheck.descent import bundle_file_name, bundled_scripts, signature_for
 from strandcheck.errors import BoundaryMismatch, NonComposable
 from strandcheck.parser import parse_script_file
 from strandcheck.rewrite import random_chi_diagram
 
-from exchange_oracle import swap_adjacent, symmetric_closure
+from exchange_oracle import swap_adjacent, symmetric_closure, tuple_walk
 
 
 @pytest.fixture
@@ -334,6 +338,77 @@ def test_isotopic_is_reachability_under_both_branches(monkeypatch):
     assert len(closure) == 128
     assert {_fresh_canonical(Diagram(d0.source, d0.target, layers))
             for layers in closure} == {_fresh_canonical(d0)}
+
+
+def _assert_walks_in_tuple_order(word):
+    """``exchange_walk`` and ``class_words`` yield what the tuple walk
+    yields, in its order; returns the class."""
+    want = list(tuple_walk(word))
+    assert list(exchange_walk(word)) == want
+    assert class_words(word) == want
+    return want
+
+
+def _two_branch_pairs(word) -> int:
+    """Adjacent pairs of ``word`` that both exchange branches move: a cell
+    with no outputs over a cell with no inputs, at one offset."""
+    return sum(len(calculus._swap_branches(a, b)) == 2
+               for a, b in zip(word, word[1:]))
+
+
+def test_exchange_walk_keeps_the_tuple_order_on_bundle_classes():
+    sizes = []
+    for script in bundled_scripts():
+        for d in (script.claim_lhs, script.claim_rhs,
+                  *(step.result for step in script.steps)):
+            sizes.append(len(_assert_walks_in_tuple_order(
+                compact_word(d.layers))))
+    assert 46160 in sizes and sum(sizes) > 70000
+
+
+def test_exchange_walk_keeps_the_tuple_order_on_floating_pairs():
+    """Random coherence diagrams, where cells on the empty path float: a
+    walk from several presentations of each class meets pairs that both
+    branches move."""
+    sig = signature_for(None)
+    rng = random.Random(24)
+    floating = 0
+    for _ in range(120):
+        d = random_chi_diagram(sig, rng, 6, 4)
+        cls = _assert_walks_in_tuple_order(compact_word(d.layers))
+        for word in cls[1::max(1, len(cls) // 4)]:
+            _assert_walks_in_tuple_order(word)
+        floating += sum(map(_two_branch_pairs, cls))
+    assert floating > 100
+
+
+def test_exchange_search_numbers_more_than_255_letters(base):
+    """Letters take two bytes once a class can hold more than 255 of
+    them: a unit under a staircase of 300 interacting cells slides up
+    through it, shifting each cell it passes, and counits side by side
+    are isotopic after one swap."""
+    f, f1, f2 = (base.arrow_by_name(n) for n in ("f", "f1", "f2"))
+    chi = calculus._gen_id(Coherence(PolygonType(path_of(f1, f),
+                                                 path_of(f2, f))))
+    unit = calculus._gen_id(Unit(f))
+    word = tuple((chi, i) for i in range(300)) + ((unit, 0),)
+    cls = _assert_walks_in_tuple_order(word)
+    assert len(cls) == 301
+    assert len(set().union(*cls)) == 303  # (chi, 0..301) and the unit
+    assert calculus._Letters((word,)).k == 2
+
+    counit = Counit(f)
+    source = cells(fiber(f.dst), *(Star(f), Shriek(f)) * 300)
+    gid = calculus._gen_id(counit)
+    stack = tuple((gid, 2 * (299 - i)) for i in range(300))
+    d = Diagram(source, identity_cells(fiber(f.dst)),
+                expand_word(source, stack))
+    (_, a), (_, b) = stack[:2]
+    swapped = ((gid, b), (gid, a - 2)) + stack[2:]
+    assert calculus._swap_branches(stack[0], stack[1]) == (swapped[:2],)
+    assert isotopic(d, Diagram(d.source, d.target,
+                               expand_word(source, swapped)))
+    assert calculus._Letters((stack,)).k == 2
 
 
 def test_hcompose_interchange(base):

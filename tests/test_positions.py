@@ -1,6 +1,7 @@
 """Step positions resolved on compact words by a search over exchange."""
 
 import random
+from dataclasses import replace
 from importlib.resources import files
 
 import pytest
@@ -24,8 +25,12 @@ from strandcheck.descent import (
 )
 from strandcheck.errors import PatternNotFound
 from strandcheck.rewrite import (
+    Axiom,
+    PriorEquality,
     Region,
+    Rule,
     _blocks_at,
+    apply_step,
     check_script,
     extract_block,
     random_chi_diagram,
@@ -199,28 +204,91 @@ def test_checking_walks_no_class(monkeypatch):
     assert walks == [] and canonical == []
 
 
-# mu_trans step 6 with its first layer shifted by one: the slowest
-# rejection of the bundle's position mutants while every presentation of
-# the class was expanded.
+def _shifted_regions(region):
+    """The region with one of ``lo``, ``hi`` and ``width`` moved by one:
+    another block height or top width."""
+    for field, by in (("lo", 1), ("lo", -1), ("hi", 1), ("hi", -1),
+                      ("width", 1), ("width", -1)):
+        yield replace(region, **{field: getattr(region, field) + by})
+
+
+def test_wrong_height_or_width_is_rejected_without_a_walk(monkeypatch):
+    """Every rule, axiom and prior step of the bundle, with its block's
+    height or top width moved by one, fails with the message a full walk
+    would end with, and no exchange class is walked."""
+    walked = []
+    exchange_walk_ = rewrite.exchange_walk
+
+    def counting_walk(word):
+        for w in exchange_walk_(word):
+            walked.append(w)
+            yield w
+
+    sessions, tried = {}, 0
+    for script in bundled_scripts():
+        session = sessions.setdefault(script.signature.extension,
+                                      session_for(script.signature))
+        cur = script.claim_lhs
+        for step in script.steps:
+            just = step.justification
+            if isinstance(just, (Rule, Axiom, PriorEquality)):
+                monkeypatch.setattr(rewrite, "exchange_walk", counting_walk)
+                for region in _shifted_regions(step.region):
+                    with pytest.raises(PatternNotFound) as err:
+                        apply_step(session, cur, replace(step, region=region))
+                    assert str(err.value) == (
+                        f"pattern for {just!r} does not occur at {region}")
+                    tried += 1
+                monkeypatch.setattr(rewrite, "exchange_walk", exchange_walk_)
+            cur = apply_step(session, cur, step)
+        assert check_script(session, script).ok, script.name
+    assert walked == []
+    assert tried > 200
+
+
 _STEP6 = "step rule R5.2(square=P2) fwd @ layers:6..10, strand:3, width:2 -> d12"
-_STEP6_LO1 = _STEP6.replace("layers:6..10", "layers:7..10")
 
 
-def test_mu_trans_step6_position_mutant_rejected(tmp_path, capsys):
+def _check_ac_mutant(tmp_path, capsys, line):
+    """The verdict lines of ``check`` on the AC bundle with ``_STEP6``
+    replaced by ``line``."""
     text = (files("strandcheck") / "bundle" / bundle_file_name("AC")).read_text(
         encoding="utf-8")
     assert text.count(_STEP6) == 1
     src = tmp_path / "ac_mutant.strand"
-    src.write_text(text.replace(_STEP6, _STEP6_LO1), encoding="utf-8")
+    src.write_text(text.replace(_STEP6, line), encoding="utf-8")
     assert main(["check", str(src)]) == 1
-    assert capsys.readouterr().out.splitlines() == [
+    return capsys.readouterr().out.splitlines()
+
+
+def _step6_verdicts(region):
+    return [
         "eta_trans: Verified",
         "mu_trans: Failed at step 6 (pattern for Rule(name='R5.2', "
         "binding=(('square', PullbackSquare(label='P2', a=pi2:R->Q, "
         "c=pi1:R->Q, d=f2:Q->B, b=f1:Q->B)),), direction='fwd') does not "
-        "occur at Region(lo=7, hi=10, strand=3, width=2))",
+        f"occur at {region})",
         "H_TA1: Verified",
         "H_TA2: Failed at step 0 (equality mu_trans has not been verified "
         "in this session)",
         "roundtrip_GFH: Verified",
     ]
+
+
+def test_mu_trans_step6_position_mutant_rejected(tmp_path, capsys):
+    """mu_trans step 6 with its first layer shifted by one: the block is
+    a layer shorter than the rule's pattern, so the step is rejected
+    before any presentation is walked."""
+    got = _check_ac_mutant(tmp_path, capsys, _STEP6.replace(
+        "layers:6..10", "layers:7..10"))
+    assert got == _step6_verdicts(Region(lo=7, hi=10, strand=3, width=2))
+
+
+def test_mu_trans_step6_strand_mutant_rejected_by_a_full_walk(tmp_path, capsys):
+    """mu_trans step 6 with its first strand shifted by one: height and
+    width fit the pattern, so the rejection walks the whole 46,160-word
+    class of the step's input; the slowest rejection among the bundle's
+    position mutants."""
+    got = _check_ac_mutant(tmp_path, capsys, _STEP6.replace(
+        "strand:3", "strand:4"))
+    assert got == _step6_verdicts(Region(lo=6, hi=10, strand=4, width=2))
